@@ -19,8 +19,7 @@ outermost (Kronecker order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exactlin import DimensionError, Matrix
 
@@ -323,18 +322,20 @@ def cone(f: ChainMap) -> Cone:
     dims = tuple(A.dim(k - 1) + B.dim(k) for k in range(lo, hi + 1))
     diffs = {}
     for k in range(lo + 1, hi + 1):
-        top = (-A.d(k - 1)).hstack(Matrix.zeros(A.dim(k - 2), B.dim(k)))
-        bot = (-f.f(k - 1)).hstack(B.d(k))
-        diffs[k] = top.vstack(bot)
+        a0, a1 = A.dim(k - 2), A.dim(k - 1)
+        diffs[k] = Matrix.from_blocks(a0 + B.dim(k - 1), a1 + B.dim(k), [
+            (0, 0, -A.d(k - 1)), (a0, 0, -f.f(k - 1)), (a0, a1, B.d(k))])
     cx = ChainComplex(lo, hi, dims, diffs)
     inc = {}
     for k in B.degrees():
-        inc[k] = Matrix.zeros(A.dim(k - 1), B.dim(k)).vstack(Matrix.identity(B.dim(k)))
+        inc[k] = Matrix.from_blocks(A.dim(k - 1) + B.dim(k), B.dim(k),
+                                    [(A.dim(k - 1), 0, Matrix.identity(B.dim(k)))])
     from_target = ChainMap(B, cx, inc)
     sh = shift(A, 1)
     proj = {}
     for k in sh.degrees():
-        proj[k] = Matrix.identity(A.dim(k - 1)).hstack(Matrix.zeros(A.dim(k - 1), B.dim(k)))
+        proj[k] = Matrix.from_blocks(A.dim(k - 1), A.dim(k - 1) + B.dim(k),
+                                     [(0, 0, Matrix.identity(A.dim(k - 1)))])
     to_shifted_source = ChainMap(cx, sh, proj)
     return Cone(cx, from_target, to_shifted_source)
 
@@ -350,18 +351,17 @@ def direct_sum(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     dims = tuple(A.dim(k) + B.dim(k) for k in range(lo, hi + 1))
     diffs = {}
     for k in range(lo + 1, hi + 1):
-        diffs[k] = Matrix.block([
-            [A.d(k), Matrix.zeros(A.dim(k - 1), B.dim(k))],
-            [Matrix.zeros(B.dim(k - 1), A.dim(k)), B.d(k)],
-        ])
+        diffs[k] = Matrix.from_blocks(
+            A.dim(k - 1) + B.dim(k - 1), A.dim(k) + B.dim(k),
+            [(0, 0, A.d(k)), (A.dim(k - 1), A.dim(k), B.d(k))])
     return ChainComplex(lo, hi, dims, diffs)
 
 
 def sum_inclusions(A: ChainComplex, B: ChainComplex) -> Tuple[ChainMap, ChainMap]:
     S = direct_sum(A, B)
-    ia = {k: Matrix.identity(A.dim(k)).vstack(Matrix.zeros(B.dim(k), A.dim(k)))
+    ia = {k: Matrix.from_blocks(S.dim(k), A.dim(k), [(0, 0, Matrix.identity(A.dim(k)))])
           for k in A.degrees()}
-    ib = {k: Matrix.zeros(A.dim(k), B.dim(k)).vstack(Matrix.identity(B.dim(k)))
+    ib = {k: Matrix.from_blocks(S.dim(k), B.dim(k), [(A.dim(k), 0, Matrix.identity(B.dim(k)))])
           for k in B.degrees()}
     return ChainMap(A, S, ia), ChainMap(B, S, ib)
 
@@ -396,30 +396,17 @@ def tensor(A: ChainComplex, B: ChainComplex) -> ChainComplex:
         dims.append(sum(A.dim(i) * B.dim(j) for (i, j) in _tensor_summands(A, B, n)))
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        rows = dims[n - 1 - lo]
-        cols = dims[n - lo]
         src_off = tensor_offsets(A, B, n)
         tgt_off = tensor_offsets(A, B, n - 1)
-        ent = [Fraction(0)] * (rows * cols)
-
-        def put(block: Matrix, r0: int, c0: int):
-            for r in range(block.rows):
-                base = (r0 + r) * cols + c0
-                brow = block.row(r)
-                for c in range(block.cols):
-                    if brow[c]:
-                        ent[base + c] = brow[c]
-
-        for (i, j) in _tensor_summands(A, B, n):
-            c0 = src_off[(i, j)]
+        blocks = []
+        for (i, j), c0 in src_off.items():
             if (i - 1, j) in tgt_off:
-                put(A.d(i).kron(Matrix.identity(B.dim(j))), tgt_off[(i - 1, j)], c0)
+                blocks.append((tgt_off[(i - 1, j)], c0,
+                               A.d(i).kron(Matrix.identity(B.dim(j)))))
             if (i, j - 1) in tgt_off:
                 blk = Matrix.identity(A.dim(i)).kron(B.d(j))
-                if i % 2:
-                    blk = -blk
-                put(blk, tgt_off[(i, j - 1)], c0)
-        diffs[n] = Matrix(rows, cols, ent)
+                blocks.append((tgt_off[(i, j - 1)], c0, -blk if i % 2 else blk))
+        diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
     return ChainComplex(lo, hi, tuple(dims), diffs)
 
 
@@ -429,22 +416,11 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     tgt = tensor(f.target, g.target)
     comps = {}
     for n in range(src.lo, src.hi + 1):
-        rows, cols = tgt.dim(n), src.dim(n)
-        src_off = tensor_offsets(f.source, g.source, n)
         tgt_off = tensor_offsets(f.target, g.target, n)
-        ent = [Fraction(0)] * (rows * cols)
-        for (i, j), c0 in src_off.items():
-            if (i, j) not in tgt_off:
-                continue
-            blk = f.f(i).kron(g.f(j))
-            r0 = tgt_off[(i, j)]
-            for r in range(blk.rows):
-                base = (r0 + r) * cols + c0
-                brow = blk.row(r)
-                for c in range(blk.cols):
-                    if brow[c]:
-                        ent[base + c] = brow[c]
-        comps[n] = Matrix(rows, cols, ent)
+        blocks = [(tgt_off[(i, j)], c0, f.f(i).kron(g.f(j)))
+                  for (i, j), c0 in tensor_offsets(f.source, g.source, n).items()
+                  if (i, j) in tgt_off]
+        comps[n] = Matrix.from_blocks(tgt.dim(n), src.dim(n), blocks)
     return ChainMap(src, tgt, comps)
 
 
@@ -480,30 +456,19 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
         dims.append(sum(A.dim(i) * B.dim(n + i) for i in hom_summands(A, B, n)))
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        rows = dims[n - 1 - lo]
-        cols = dims[n - lo]
-        src_off = hom_offsets(A, B, n)
         tgt_off = hom_offsets(A, B, n - 1)
-        ent = [Fraction(0)] * (rows * cols)
-
-        def put(block: Matrix, r0: int, c0: int):
-            for r in range(block.rows):
-                base = (r0 + r) * cols + c0
-                brow = block.row(r)
-                for c in range(block.cols):
-                    if brow[c]:
-                        ent[base + c] = brow[c]
-
         sign = -1 if (n - 1) % 2 == 0 else 1  # -(-1)^{n-1}
-        for i, c0 in src_off.items():
+        blocks = []
+        for i, c0 in hom_offsets(A, B, n).items():
             # d_B . f_i : block from summand i to summand i of degree n-1
             if i in tgt_off:
-                put(B.d(n + i).kron(Matrix.identity(A.dim(i)).transpose()), tgt_off[i], c0)
+                blocks.append((tgt_off[i], c0,
+                               B.d(n + i).kron(Matrix.identity(A.dim(i)).transpose())))
             # f_i . d_A : Hom(A_i, B_{n+i}) -> Hom(A_{i+1}, B_{n+i})
             if i + 1 in tgt_off:
                 blk = Matrix.identity(B.dim(n + i)).kron(A.d(i + 1).transpose()).scale(sign)
-                put(blk, tgt_off[i + 1], c0)
-        diffs[n] = Matrix(rows, cols, ent)
+                blocks.append((tgt_off[i + 1], c0, blk))
+        diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
     return ChainComplex(lo, hi, tuple(dims), diffs)
 
 
@@ -512,17 +477,16 @@ def hom_element(A: ChainComplex, B: ChainComplex, n: int,
     """Flatten {f_i: A_i -> B_{n+i}} into a coordinate column of Map(A,B)_n."""
     off = hom_offsets(A, B, n)
     total = sum(A.dim(i) * B.dim(n + i) for i in off)
-    ent = [Fraction(0)] * total
+    blocks = []
     for i, pos in off.items():
         m = comps.get(i)
         if m is None:
             continue
         if (m.rows, m.cols) != (B.dim(n + i), A.dim(i)):
             raise DimensionError(f"hom element component {i} has wrong shape")
-        for r in range(m.rows):
-            for c in range(m.cols):
-                ent[pos + r * m.cols + c] = m[r, c]
-    return Matrix.column(ent)
+        # m flattened row-major into one column
+        blocks.append((pos, 0, Matrix._of(m.rows * m.cols, 1, m._e, m._d)))
+    return Matrix.from_blocks(total, 1, blocks)
 
 
 def hom_element_components(A: ChainComplex, B: ChainComplex, n: int,
@@ -532,6 +496,5 @@ def hom_element_components(A: ChainComplex, B: ChainComplex, n: int,
     out = {}
     for i, pos in off.items():
         rows, cols = B.dim(n + i), A.dim(i)
-        ent = [v[pos + r * cols + c, 0] for r in range(rows) for c in range(cols)]
-        out[i] = Matrix(rows, cols, ent)
+        out[i] = Matrix._of(rows, cols, v._e[pos:pos + rows * cols], v._d)
     return out

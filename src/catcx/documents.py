@@ -39,6 +39,11 @@ from .laxmat import Delta1ChainMatrix, FinPoset, IntMatrix
 MAX_DIM_ENV = "CATCX_MAX_DIM"
 DEFAULT_MAX_DIM = 512
 
+# numerators and denominators are capped at Python's default int/str
+# conversion limit, so every parsed rational can be written back out
+MAX_RATIONAL_DIGITS = 4300
+_TOO_MANY_DIGITS = 10 ** MAX_RATIONAL_DIGITS
+
 Warn = Optional[Callable[[str], None]]
 
 
@@ -73,12 +78,35 @@ def _check_dim(n: int, path: str, cap: int) -> int:
     return n
 
 
+def _exponent_too_large(x: str) -> bool:
+    """Whether x's exponent alone would push Fraction(x) past the digit cap.
+
+    Fraction('1e400000') builds 10**400000 before its size can be seen, so
+    the exponent is bounded on the string itself.
+    """
+    mantissa, e, exp = x.upper().partition("E")
+    exp = exp.strip().lstrip("+-").replace("_", "")
+    if not e or not exp.isdigit():
+        return False  # no exponent, or one Fraction rejects anyway
+    digits = sum(ch.isdigit() for ch in mantissa)
+    return len(exp) > 6 or digits + int(exp) > MAX_RATIONAL_DIGITS
+
+
 def parse_rational(x, strict: bool, warn: Warn, path: str) -> Fraction:
     if isinstance(x, str):
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isdecimal() and len(digits) <= MAX_RATIONAL_DIGITS:
+            n = int(x)
+            if str(n) == x:  # canonical integer: skip Fraction's string parser
+                return Fraction(n)
+        if _exponent_too_large(x):
+            raise DocumentError(f"rational exceeds {MAX_RATIONAL_DIGITS} digits", path)
         try:
             v = Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"not a rational: {x!r}", path)
+        if abs(v.numerator) >= _TOO_MANY_DIGITS or v.denominator >= _TOO_MANY_DIGITS:
+            raise DocumentError(f"rational exceeds {MAX_RATIONAL_DIGITS} digits", path)
         if rat_str(v) != x:
             if strict:
                 raise DocumentError(f"non-canonical rational {x!r}", path)
@@ -142,7 +170,7 @@ def _parse_matrix(data, ctx: "_Ctx", path: str,
 
 
 def _matrix_json(m: Matrix) -> list:
-    return [[rat_str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return m.to_str_lists()
 
 
 def _subset_key(J) -> str:
@@ -598,6 +626,10 @@ def parse_document(text: str, strict: bool = False, warn: Warn = None):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON at byte {e.pos}: {e.msg}")
+    except RecursionError:
+        raise DocumentError("document nested too deeply")
+    except ValueError as e:  # an integer literal past the int/str digit limit
+        raise DocumentError(f"invalid JSON: {e}")
     if not isinstance(data, dict):
         raise DocumentError("top level must be an object")
     tag = data.get("type")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .exactlin import DimensionError, Matrix
@@ -110,11 +109,7 @@ def degenerate_inclusion(X: SimplicialVS, n: int) -> Matrix:
     """Columns spanning the degenerate subspace of X_n (empty at n = 0)."""
     if n == 0:
         return Matrix.zeros(X.dims[0], 0)
-    blocks = [X.degeneracy(n - 1, j) for j in range(n)]
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = out.hstack(b)
-    return out
+    return Matrix.block([[X.degeneracy(n - 1, j) for j in range(n)]])
 
 
 def quotient_presentation(X: SimplicialVS, n: int) -> Tuple[Matrix, Matrix]:
@@ -122,7 +117,7 @@ def quotient_presentation(X: SimplicialVS, n: int) -> Tuple[Matrix, Matrix]:
     S = degenerate_inclusion(X, n)
     ann = S.transpose().kernel_basis()
     d = X.dims[n]
-    P = Matrix(len(ann), d, [w[i, 0] for w in ann for i in range(d)])
+    P = Matrix.block([[w.transpose()] for w in ann]) if ann else Matrix.zeros(0, d)
     if P.rows == 0:
         return P, Matrix.zeros(X.dims[n], 0)
     R = P.solve(Matrix.identity(P.rows))
@@ -197,8 +192,7 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
     def structure_map(n: int, alpha: Tuple[int, ...]) -> Matrix:
         # alpha: [m] -> [n] monotone, as its value tuple; result Gamma_n -> Gamma_m
         m = len(alpha) - 1
-        rows, cols = dims[m], dims[n]
-        ent = [Fraction(0)] * (rows * cols)
+        blocks = []
         for k, eta in summands[n]:
             if C.dim(k) == 0:
                 continue
@@ -213,14 +207,8 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
                 continue
             if blk.rows == 0:
                 continue
-            r0 = offsets[m][surj]
-            c0 = offsets[n][eta]
-            for r in range(blk.rows):
-                for c in range(blk.cols):
-                    v = blk[r, c]
-                    if v:
-                        ent[(r0 + r) * cols + (c0 + c)] = v
-        return Matrix(rows, cols, ent)
+            blocks.append((offsets[m][surj], offsets[n][eta], blk))
+        return Matrix.from_blocks(dims[m], dims[n], blocks)
 
     faces = {}
     for n in range(1, N + 1):

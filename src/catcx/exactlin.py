@@ -1,10 +1,20 @@
 """Exact rational scalars and dense matrices.
 
 Everything downstream (chain complexes, perverse data, Koszul complexes)
-reduces to linear algebra over Q done here.  All arithmetic is exact:
-scalars are `fractions.Fraction`, eliminations are either plain
-Gauss-Jordan over Q or fraction-free (Bareiss) over the integers after
-clearing denominators.  No floating point anywhere.
+reduces to linear algebra over Q done here.  All arithmetic is exact; no
+floating point anywhere.
+
+A matrix is stored as FLINT's `fmpq_mat` stores it: a row-major tuple of
+int numerators over one positive common denominator, kept canonical
+(gcd of the denominator and all numerators is 1, so integer matrices have
+denominator 1).  Products, sums, Kronecker products and block placement
+run on those ints.  Eliminations are fraction-free: `rank` is Bareiss
+elimination, and `rref`, `kernel_basis`, `solve` and `invert` share one
+fraction-free Gauss-Jordan on the numerators (every pivot ends equal to
+the same minor D, and the reduced form is the result divided by D).
+`fractions.Fraction` appears only at the API boundary: `m[i, j]`, `row`
+and `entries` return Fractions, and the constructor accepts ints, 'p/q'
+strings and Fractions.
 
 Matrices are dense and immutable after construction.  Zero-by-n and
 n-by-zero matrices are legal and show up constantly (zero vector spaces
@@ -14,8 +24,9 @@ in chain degrees), so every routine must tolerate empty shapes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from math import gcd, lcm
+from operator import add, sub
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -44,16 +55,65 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _gauss_jordan(a: List[list]) -> Tuple[List[int], int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place.
+
+    Each step clears the pivot column in every other row with
+    row_i <- (p * row_i - a_ic * row_r) / prev, where p is the new pivot and
+    prev the one before; the divisions are exact (every entry is a minor
+    of the input).  Returns (pivot columns, D): all pivots end equal to D,
+    rows past the rank end zero, and the reduced row echelon form is a / D.
+    The pivot is the first nonzero entry in its column, so results are
+    deterministic.
+    """
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        piv = None
+        for i in range(r, nr):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        ar = a[r]
+        p = ar[c]
+        for i in range(nr):
+            if i == r:
+                continue
+            ai = a[i]
+            f = ai[c]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ai, ar)]
+            elif p != prev and any(ai):
+                a[i] = [p * x // prev for x in ai]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return pivots, prev
+
+
 class Matrix:
-    """Dense matrix of rationals, row-major storage.
+    """Dense matrix of rationals: int numerators `_e` (row-major) over `_d`.
 
     Treat instances as immutable: all operations return new matrices.
     """
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_e", "_d")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar]):
-        e = tuple(rat(x) for x in entries)
+        e = tuple(entries)
+        d = 1
+        if not all(type(x) is int for x in e):
+            q = [rat(x) for x in e]
+            d = lcm(*[x.denominator for x in q])
+            e = tuple(x.numerator * (d // x.denominator) for x in q)
         if rows < 0 or cols < 0:
             raise DimensionError("negative matrix dimensions")
         if len(e) != rows * cols:
@@ -63,6 +123,26 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._e = e
+        self._d = d
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, nums, d: int = 1) -> "Matrix":
+        """Trusted constructor: `rows * cols` ints over d > 0, no coercion.
+
+        Only reduces to the canonical form (common factors of d and the
+        numerators cancelled).
+        """
+        if d != 1:
+            g = gcd(d, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                d //= g
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._e = tuple(nums)
+        m._d = d
+        return m
 
     # -- construction -----------------------------------------------------
 
@@ -80,15 +160,43 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise DimensionError("negative matrix dimensions")
+        return cls._of(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        if n < 0:
+            raise DimensionError("negative matrix dimensions")
+        e = [0] * (n * n)
+        e[:: n + 1] = [1] * n
+        return cls._of(n, n, e)
 
     @classmethod
     def column(cls, entries: Sequence[Scalar]) -> "Matrix":
         return cls(len(entries), 1, entries)
+
+    @classmethod
+    def from_blocks(cls, rows: int, cols: int,
+                    blocks: Iterable[Tuple[int, int, "Matrix"]]) -> "Matrix":
+        """rows x cols matrix, zero except each (r0, c0, block) placed with
+        its top-left corner at (r0, c0).  Blocks must not overlap."""
+        blocks = list(blocks)
+        d = lcm(*[blk._d for _, _, blk in blocks])
+        ent = [0] * (rows * cols)
+        for r0, c0, blk in blocks:
+            br, bc = blk.rows, blk.cols
+            if r0 < 0 or c0 < 0 or r0 + br > rows or c0 + bc > cols:
+                raise DimensionError(
+                    f"a {br}x{bc} block at ({r0}, {c0}) does not fit in {rows}x{cols}")
+            e = blk._e
+            s = d // blk._d
+            if s != 1:
+                e = [x * s for x in e]
+            for r in range(br):
+                base = (r0 + r) * cols + c0
+                ent[base:base + bc] = e[r * bc:(r + 1) * bc]
+        return cls._of(rows, cols, ent, d)
 
     # -- access -----------------------------------------------------------
 
@@ -96,35 +204,58 @@ class Matrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        return self._e[i * self.cols + j]
+        return Fraction(self._e[i * self.cols + j], self._d)
 
     def row(self, i: int) -> tuple:
-        return self._e[i * self.cols : (i + 1) * self.cols]
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._e[i * self.cols:(i + 1) * self.cols])
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def entries(self) -> tuple:
-        return self._e
+        d = self._d
+        return tuple(Fraction(x, d) for x in self._e)
+
+    def to_str_lists(self) -> list:
+        """Rows of canonical 'p' / 'p/q' strings, as `rat_str` spells them."""
+        e, c, d = self._e, self.cols, self._d
+        if d == 1:
+            flat = [str(x) for x in e]
+        else:
+            flat = []
+            for x in e:
+                g = gcd(x, d)
+                flat.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+        return [flat[i * c:(i + 1) * c] for i in range(self.rows)]
 
     # -- algebra ----------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", op, what: str) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in addition")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
+            raise DimensionError(f"shape mismatch in {what}")
+        a, b, da, db = self._e, other._e, self._d, other._d
+        d = da
+        if da != db:
+            d = lcm(da, db)
+            a = [x * (d // da) for x in a] if d != da else a
+            b = [x * (d // db) for x in b] if d != db else b
+        return Matrix._of(self.rows, self.cols, list(map(op, a, b)), d)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, add, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in subtraction")
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
+        return self._combine(other, sub, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self._e])
+        return Matrix._of(self.rows, self.cols, [-x for x in self._e], self._d)
 
     def scale(self, c: Scalar) -> "Matrix":
         c = rat(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self._e])
+        n = c.numerator
+        e = self._e if n == 1 else [n * x for x in self._e]
+        return Matrix._of(self.rows, self.cols, e, self._d * c.denominator if n else 1)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -133,118 +264,123 @@ class Matrix:
             )
         n, m, p = self.rows, self.cols, other.cols
         a, b = self._e, other._e
-        out = [Fraction(0)] * (n * p)
+        brows = [b[k * p:(k + 1) * p] for k in range(m)]
+        live = [any(r) for r in brows]
+        zero = [0] * p
+        out = []
         for i in range(n):
-            arow = a[i * m : (i + 1) * m]
-            base = i * p
-            for k in range(m):
-                aik = arow[k]
-                if aik:
-                    brow = b[k * p : (k + 1) * p]
-                    for j in range(p):
-                        if brow[j]:
-                            out[base + j] += aik * brow[j]
-        return Matrix(n, p, out)
+            acc = None
+            for k, aik in enumerate(a[i * m:(i + 1) * m]):
+                if not aik or not live[k]:
+                    continue
+                brow = brows[k]
+                if acc is None:
+                    acc = list(brow) if aik == 1 else [aik * y for y in brow]
+                elif aik == 1:
+                    acc = list(map(add, acc, brow))
+                elif aik == -1:
+                    acc = list(map(sub, acc, brow))
+                else:
+                    acc = list(map(add, acc, map(aik.__mul__, brow)))
+            out.extend(zero if acc is None else acc)
+        return Matrix._of(n, p, out, self._d * other._d)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols, self.rows,
-            [self._e[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        e, c = self._e, self.cols
+        return Matrix._of(c, self.rows, [x for j in range(c) for x in e[j::c]], self._d)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; basis order (i, k) -> i * other.rows + k."""
-        r = self.rows * other.rows
-        c = self.cols * other.cols
-        out = [Fraction(0)] * (r * c)
+        ac, bc = self.cols, other.cols
+        a, b = self._e, other._e
+        brows = [b[k * bc:(k + 1) * bc] for k in range(other.rows)]
+        zero = (0,) * bc
+        out = []
         for i in range(self.rows):
-            for j in range(self.cols):
-                a = self._e[i * self.cols + j]
-                if not a:
-                    continue
-                for k in range(other.rows):
-                    base = (i * other.rows + k) * c + j * other.cols
-                    orow = other._e[k * other.cols : (k + 1) * other.cols]
-                    for l in range(other.cols):
-                        if orow[l]:
-                            out[base + l] = a * orow[l]
-        return Matrix(r, c, out)
+            arow = a[i * ac:(i + 1) * ac]
+            for brow in brows:
+                for x in arow:
+                    if not x:
+                        out.extend(zero)
+                    elif x == 1:
+                        out.extend(brow)
+                    else:
+                        out.extend([x * y for y in brow])
+        return Matrix._of(self.rows * other.rows, ac * bc, out, self._d * other._d)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionError("hstack needs equal row counts")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return Matrix.from_rows(rows, cols=self.cols + other.cols)
+        return Matrix.from_blocks(self.rows, self.cols + other.cols,
+                                  [(0, 0, self), (0, self.cols, other)])
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionError("vstack needs equal column counts")
-        return Matrix(self.rows + other.rows, self.cols, self._e + other._e)
+        return Matrix.from_blocks(self.rows + other.rows, self.cols,
+                                  [(0, 0, self), (self.rows, 0, other)])
 
     @staticmethod
     def block(grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
         """Assemble a block matrix; shapes must be consistent per row/column."""
         if not grid:
             return Matrix.zeros(0, 0)
-        rows_out = []
+        placed = []
+        r0 = 0
+        width = None
         for row_blocks in grid:
-            acc = row_blocks[0]
-            for blk in row_blocks[1:]:
-                acc = acc.hstack(blk)
-            rows_out.append(acc)
-        acc = rows_out[0]
-        for blk in rows_out[1:]:
-            acc = acc.vstack(blk)
-        return acc
+            height = row_blocks[0].rows
+            c0 = 0
+            for blk in row_blocks:
+                if blk.rows != height:
+                    raise DimensionError("hstack needs equal row counts")
+                placed.append((r0, c0, blk))
+                c0 += blk.cols
+            if width is None:
+                width = c0
+            elif c0 != width:
+                raise DimensionError("vstack needs equal column counts")
+            r0 += height
+        return Matrix.from_blocks(r0, width, placed)
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not x for x in self._e)
+        return not any(self._e)
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self._e[i * self.cols + j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return (self.rows == self.cols and self._d == 1
+                and self._e == Matrix.identity(self.rows)._e)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._e == other._e
+        return ((self.rows, self.cols, self._d) == (other.rows, other.cols, other._d)
+                and self._e == other._e)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+        # equal to the hash of the same shape with a tuple of Fraction entries
+        e = self._e if self._d == 1 else self.entries()
+        return hash((self.rows, self.cols, e))
 
     def __repr__(self):
         if self.rows * self.cols == 0:
             return f"Matrix({self.rows}x{self.cols})"
-        body = "; ".join(
-            " ".join(rat_str(x) for x in self.row(i)) for i in range(self.rows)
-        )
+        body = "; ".join(" ".join(r) for r in self.to_str_lists())
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     # -- eliminations -------------------------------------------------------
     #
-    # rank() is fraction-free: each row is scaled to integers (scaling does not
-    # change the rank), then Bareiss elimination keeps all intermediates
-    # integral and of bounded size.  invert(), rref() and friends work
-    # directly over Q; the pivot is always the first nonzero entry in the
-    # column, so results are deterministic.
+    # All work on the numerator rows: scaling the whole matrix by its
+    # denominator changes neither the rank nor the reduced echelon form.
 
-    def _int_rows(self) -> list:
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            m = lcm(*(x.denominator for x in r)) if r else 1
-            out.append([int(x * m) for x in r])
-        return out
+    def _num_rows(self) -> List[list]:
+        c = self.cols
+        return [list(self._e[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def rank(self) -> int:
-        a = self._int_rows()
+        """Bareiss elimination: intermediates stay integral and bounded."""
+        a = self._num_rows()
         nr, nc = self.rows, self.cols
         prev = 1
         r = 0
@@ -260,45 +396,37 @@ class Matrix:
                 continue
             if piv != r:
                 a[r], a[piv] = a[piv], a[r]
+            ar = a[r]
+            arc = ar[c]
+            tail = ar[c:]
             for i in range(r + 1, nr):
-                if any(a[i][k] for k in range(c, nc)):
-                    arc = a[r][c]
-                    aic = a[i][c]
-                    ai = a[i]
-                    ar = a[r]
-                    for k in range(c, nc):
-                        ai[k] = (arc * ai[k] - aic * ar[k]) // prev
-            prev = a[r][c]
+                ai = a[i]
+                aic = ai[c]
+                if aic:
+                    ai[c:] = [(arc * x - aic * y) // prev for x, y in zip(ai[c:], tail)]
+                elif arc != prev and any(ai[c:]):
+                    ai[c:] = [arc * x // prev for x in ai[c:]]
+            prev = arc
             r += 1
         return r
 
+    def _reduced(self, extra: Optional["Matrix"] = None) -> Tuple[List[list], List[int], int]:
+        """Fraction-free Gauss-Jordan of the numerators, with `extra`'s
+        numerators appended as columns: (rows, pivot columns, D > 0)."""
+        a = self._num_rows()
+        if extra is not None:
+            for row, tail in zip(a, extra._num_rows()):
+                row.extend(tail)
+        pivots, D = _gauss_jordan(a)
+        if D < 0:
+            a = [[-x for x in row] for row in a]
+            D = -D
+        return a, pivots, D
+
     def rref(self) -> tuple:
         """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-        a = [list(self.row(i)) for i in range(self.rows)]
-        nr, nc = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            if r >= nr:
-                break
-            piv = None
-            for i in range(r, nr):
-                if a[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            p = a[r][c]
-            a[r] = [x / p for x in a[r]]
-            for i in range(nr):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-        flat = [x for row in a for x in row]
-        return Matrix(nr, nc, flat), pivots
+        a, pivots, D = self._reduced()
+        return Matrix._of(self.rows, self.cols, [x for row in a for x in row], D), pivots
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel, as n x 1 column matrices.
@@ -306,32 +434,32 @@ class Matrix:
         Deterministic: free variables are set to 1 one at a time, in
         increasing column order, pivots solved from the RREF.
         """
-        R, pivots = self.rref()
+        a, pivots, D = self._reduced()
         pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
         basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
+        for fc in range(self.cols):
+            if fc in pivset:
+                continue
+            v = [0] * self.cols
+            v[fc] = D
             for r, pc in enumerate(pivots):
-                v[pc] = -R[r, fc]
-            basis.append(Matrix.column(v))
+                v[pc] = -a[r][fc]
+            basis.append(Matrix._of(self.cols, 1, v, D))
         return basis
 
     def solve(self, b: "Matrix") -> Optional["Matrix"]:
         """One exact solution of self @ x = b (free variables 0), or None."""
         if b.rows != self.rows:
             raise DimensionError("rhs row count mismatch")
-        aug = self.hstack(b)
-        R, pivots = aug.rref()
-        for pc in pivots:
-            if pc >= self.cols:
-                return None
-        out = [[Fraction(0)] * b.cols for _ in range(self.cols)]
+        a, pivots, D = self._reduced(b)
+        if pivots and pivots[-1] >= self.cols:
+            return None
+        # N x = M solves self x = b up to the factor d_self / d_b
+        n, p = self.cols, b.cols
+        out = [0] * (n * p)
         for r, pc in enumerate(pivots):
-            for j in range(b.cols):
-                out[pc][j] = R[r, self.cols + j]
-        return Matrix.from_rows(out, cols=b.cols)
+            out[pc * p:(pc + 1) * p] = [x * self._d for x in a[r][n:]]
+        return Matrix._of(n, p, out, D * b._d)
 
     def invert(self) -> Optional["Matrix"]:
         """Exact inverse, or None when singular.
@@ -343,12 +471,11 @@ class Matrix:
         n = self.rows
         if n == 0:
             return Matrix.zeros(0, 0)
-        aug = self.hstack(Matrix.identity(n))
-        R, pivots = aug.rref()
+        a, pivots, D = self._reduced(Matrix.identity(n))
         if pivots != list(range(n)):
             return None
-        inv = [R.row(i)[n:] for i in range(n)]
-        return Matrix.from_rows(inv, cols=n)
+        # (N / d)^-1 = d * N^-1, and the right half is D * N^-1
+        return Matrix._of(n, n, [x * self._d for row in a for x in row[n:]], D)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -358,7 +485,4 @@ def column_space_dim(vectors: Sequence[Matrix]) -> int:
     """Rank of the matrix whose columns are the given column vectors."""
     if not vectors:
         return 0
-    acc = vectors[0]
-    for v in vectors[1:]:
-        acc = acc.hstack(v)
-    return acc.rank()
+    return Matrix.block([vectors]).rank()

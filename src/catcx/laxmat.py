@@ -28,7 +28,6 @@ the explicit associator, a signless basis permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
@@ -136,15 +135,9 @@ def mobius(P: FinPoset) -> IntMatrix:
     inv = m.invert()
     if inv is None:
         raise DimensionError("zeta matrix is singular; input is not a poset")
-    ent = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = inv[i, j]
-            if v.denominator != 1:
-                raise DimensionError("Moebius matrix is not integral")
-            row.append(v.numerator)
-        ent.append(row)
+    if inv._d != 1:
+        raise DimensionError("Moebius matrix is not integral")
+    ent = [list(inv._e[i * n:(i + 1) * n]) for i in range(n)]
     return IntMatrix(P.labels, P.labels, ent)
 
 
@@ -196,12 +189,8 @@ def hpushout(span: Span) -> Pushout:
     fr = {}
     for k in P.degrees():
         da, db, dc = A.dim(k - 1), B.dim(k), C.dim(k)
-        fl[k] = Matrix.block([[Matrix.zeros(da, db)],
-                              [Matrix.identity(db)],
-                              [Matrix.zeros(dc, db)]])
-        fr[k] = Matrix.block([[Matrix.zeros(da, dc)],
-                              [Matrix.zeros(db, dc)],
-                              [Matrix.identity(dc)]])
+        fl[k] = Matrix.from_blocks(da + db + dc, db, [(da, 0, Matrix.identity(db))])
+        fr[k] = Matrix.from_blocks(da + db + dc, dc, [(da + db, 0, Matrix.identity(dc))])
     return Pushout(span, P, ChainMap(B, P, fl), ChainMap(C, P, fr))
 
 
@@ -217,15 +206,9 @@ def induced_pushout_map(src: Pushout, tgt: Pushout, on_apex: ChainMap,
         a = on_apex.f(k - 1)
         b = on_left.f(k)
         c = on_right.f(k)
-        za_b = Matrix.zeros(a.rows, b.cols)
-        za_c = Matrix.zeros(a.rows, c.cols)
-        zb_a = Matrix.zeros(b.rows, a.cols)
-        zb_c = Matrix.zeros(b.rows, c.cols)
-        zc_a = Matrix.zeros(c.rows, a.cols)
-        zc_b = Matrix.zeros(c.rows, b.cols)
-        comps[k] = Matrix.block([[a, za_b, za_c],
-                                 [zb_a, b, zb_c],
-                                 [zc_a, zc_b, c]])
+        comps[k] = Matrix.from_blocks(
+            a.rows + b.rows + c.rows, a.cols + b.cols + c.cols,
+            [(0, 0, a), (a.rows, a.cols, b), (a.rows + b.rows, a.cols + b.cols, c)])
     return ChainMap(src.cx, tgt.cx, comps)
 
 
@@ -240,7 +223,7 @@ def assoc(X: ChainComplex, Y: ChainComplex, Z: ChainComplex) -> ChainMap:
     comps = {}
     for n in range(S.lo, S.hi + 1):
         rows, cols = T.dim(n), S.dim(n)
-        ent = [Fraction(0)] * (rows * cols)
+        ent = [0] * (rows * cols)
         s_off = tensor_offsets(XY, Z, n)
         t_off = tensor_offsets(X, YZ, n)
         for i in range(X.lo, X.hi + 1):
@@ -261,8 +244,8 @@ def assoc(X: ChainComplex, Y: ChainComplex, Z: ChainComplex) -> ChainMap:
                         for gam in range(dz):
                             src = s_base + (xy_off + xi * dy + eta) * dz + gam
                             tgt = t_base + xi * dyz + yz_off + eta * dz + gam
-                            ent[tgt * cols + src] = Fraction(1)
-        comps[n] = Matrix(rows, cols, ent)
+                            ent[tgt * cols + src] = 1
+        comps[n] = Matrix._of(rows, cols, ent)
     return ChainMap(S, T, comps)
 
 
@@ -301,7 +284,7 @@ def tensor_cone_left(K: ChainComplex, push: Pushout) -> Tuple[Pushout, ChainMap]
     comps = {}
     for n in range(S.lo, S.hi + 1):
         rows, cols = T.dim(n), S.dim(n)
-        ent = [Fraction(0)] * (rows * cols)
+        ent = [0] * (rows * cols)
         s_off = tensor_offsets(K, push.cx, n)
         ka_off = tensor_offsets(K, A, n - 1)
         kb_off = tensor_offsets(K, B, n)
@@ -312,7 +295,7 @@ def tensor_cone_left(K: ChainComplex, push: Pushout) -> Tuple[Pushout, ChainMap]
             dk = K.dim(i)
             da, db, dc = A.dim(j - 1), B.dim(j), C.dim(j)
             dp = push.cx.dim(j)
-            sgn = Fraction(-1) if i % 2 else Fraction(1)
+            sgn = -1 if i % 2 else 1
             for kap in range(dk):
                 for al in range(da):
                     src = base + kap * dp + al
@@ -321,12 +304,12 @@ def tensor_cone_left(K: ChainComplex, push: Pushout) -> Tuple[Pushout, ChainMap]
                 for be in range(db):
                     src = base + kap * dp + da + be
                     tgt = t_off_b + kb_off[(i, j)] + kap * db + be
-                    ent[tgt * cols + src] = Fraction(1)
+                    ent[tgt * cols + src] = 1
                 for ga in range(dc):
                     src = base + kap * dp + da + db + ga
                     tgt = t_off_c + kc_off[(i, j)] + kap * dc + ga
-                    ent[tgt * cols + src] = Fraction(1)
-        comps[n] = Matrix(rows, cols, ent)
+                    ent[tgt * cols + src] = 1
+        comps[n] = Matrix._of(rows, cols, ent)
     return tpush, ChainMap(S, T, comps)
 
 
@@ -345,7 +328,7 @@ def tensor_cone_right(push: Pushout, K: ChainComplex) -> Tuple[Pushout, ChainMap
     comps = {}
     for n in range(S.lo, S.hi + 1):
         rows, cols = T.dim(n), S.dim(n)
-        ent = [Fraction(0)] * (rows * cols)
+        ent = [0] * (rows * cols)
         s_off = tensor_offsets(push.cx, K, n)
         ak_off = tensor_offsets(A, K, n - 1)
         bk_off = tensor_offsets(B, K, n)
@@ -359,18 +342,18 @@ def tensor_cone_right(push: Pushout, K: ChainComplex) -> Tuple[Pushout, ChainMap
                 for kap in range(dk):
                     src = base + al * dk + kap
                     tgt = ak_off[(j - 1, i)] + al * dk + kap
-                    ent[tgt * cols + src] = Fraction(1)
+                    ent[tgt * cols + src] = 1
             for be in range(db):
                 for kap in range(dk):
                     src = base + (da + be) * dk + kap
                     tgt = t_off_b + bk_off[(j, i)] + be * dk + kap
-                    ent[tgt * cols + src] = Fraction(1)
+                    ent[tgt * cols + src] = 1
             for ga in range(dc):
                 for kap in range(dk):
                     src = base + (da + db + ga) * dk + kap
                     tgt = t_off_c + ck_off[(j, i)] + ga * dk + kap
-                    ent[tgt * cols + src] = Fraction(1)
-        comps[n] = Matrix(rows, cols, ent)
+                    ent[tgt * cols + src] = 1
+        comps[n] = Matrix._of(rows, cols, ent)
     return tpush, ChainMap(S, T, comps)
 
 
@@ -539,7 +522,7 @@ def fib(f: ChainMap) -> Tuple[ChainComplex, ChainMap]:
     for k in F.degrees():
         da = A.dim(k)
         db = f.target.dim(k + 1)
-        proj[k] = Matrix.identity(da).hstack(Matrix.zeros(da, db))
+        proj[k] = Matrix.from_blocks(da, da + db, [(0, 0, Matrix.identity(da))])
     return F, ChainMap(F, A, proj)
 
 

@@ -18,7 +18,6 @@ iterated mapping cone, axis 1 first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -126,27 +125,16 @@ def totalize(M: MultiComplex) -> ChainComplex:
         dims.append(sum(M.dim(a) for a in M.multidegrees() if sum(a) == n))
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        rows = dims[n - 1 - lo]
-        cols = dims[n - lo]
-        src_off = totalization_offsets(M, n)
         tgt_off = totalization_offsets(M, n - 1)
-        ent = [Fraction(0)] * (rows * cols)
-        for a, c0 in src_off.items():
+        blocks = []
+        for a, c0 in totalization_offsets(M, n).items():
             for j in range(1, M.n + 1):
                 if a[j - 1] - 1 < M.lo[j - 1]:
                     continue
-                b = M._step(a, j)
-                r0 = tgt_off[b]
                 blk = M.d(j, a)
-                if sum(a[: j - 1]) % 2:
-                    blk = -blk
-                for r in range(blk.rows):
-                    base = (r0 + r) * cols + c0
-                    brow = blk.row(r)
-                    for c in range(blk.cols):
-                        if brow[c]:
-                            ent[base + c] = brow[c]
-        diffs[n] = Matrix(rows, cols, ent)
+                blocks.append((tgt_off[M._step(a, j)], c0,
+                               -blk if sum(a[: j - 1]) % 2 else blk))
+        diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
     return ChainComplex(lo, hi, tuple(dims), diffs)
 
 
@@ -278,10 +266,9 @@ def _collapse_first_axis(Q: ChainCube) -> ChainCube:
             for k in src.complex.degrees():
                 a_blk = top.f(k - 1)
                 b_blk = bot.f(k)
-                comps[k] = Matrix.block([
-                    [a_blk, Matrix.zeros(a_blk.rows, b_blk.cols)],
-                    [Matrix.zeros(b_blk.rows, a_blk.cols), b_blk],
-                ])
+                comps[k] = Matrix.from_blocks(
+                    a_blk.rows + b_blk.rows, a_blk.cols + b_blk.cols,
+                    [(0, 0, a_blk), (a_blk.rows, a_blk.cols, b_blk)])
             newJ = frozenset(x - 1 for x in J)
             new_edges[i - 1][newJ] = ChainMap(src.complex, tgt.complex, comps)
     return ChainCube(n - 1, new_vertices, new_edges)

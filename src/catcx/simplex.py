@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List
 
 from .exactlin import DimensionError, Matrix
@@ -53,15 +52,15 @@ def linear_cochain(n: int, dim_v: int) -> ChainComplex:
         col_index = {s: c for c, s in enumerate(cols_sets)}
         rows = len(rows_sets) * dim_v
         cols = len(cols_sets) * dim_v
-        ent = [Fraction(0)] * (rows * cols)
+        ent = [0] * (rows * cols)
         for r, sigma in enumerate(rows_sets):
             for i in range(len(sigma)):
                 tau = sigma[:i] + sigma[i + 1:]
                 c = col_index[tau]
-                sgn = Fraction(-1) if i % 2 else Fraction(1)
+                sgn = -1 if i % 2 else 1
                 for v in range(dim_v):
                     ent[(r * dim_v + v) * cols + (c * dim_v + v)] = sgn
-        diffs[-k] = Matrix(rows, cols, ent)
+        diffs[-k] = Matrix._of(rows, cols, ent)
     return ChainComplex(-n, 0, dims, diffs)
 
 
