@@ -14,25 +14,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Tuple
+from importlib import import_module
+from typing import List, Optional
 
-from .exactlin import DimensionError, Matrix, rat_str
-from . import chain
-from .chain import ChainComplex, ChainHomotopy, ChainMap
-from .multicplx import ChainCube, MultiComplex, totalize, validate_chain_cube, validate_multicomplex
-from .koszul import (AlgebraError, FDAlgebra, KoszulDualityError, duality_iso,
-                     koszul as koszul_complex, realize)
-from .perverse import (LocalStar, PervCube, PervDisk, PervFlag, SheafEncoding,
-                       amalgamate, disk_monodromies, encode_sheaf, encode_sheaf_flag,
-                       flag_embed_cube, flag_monodromies, validate_cube, validate_disk,
-                       validate_flag, validate_local_star, verify_encoding)
-from .doldkan import SimplicialVS, gamma, normalize, validate_simplicial
-from .laxmat import (Delta1ChainMatrix, FinPoset, IntMatrix, cof_action, fib_action,
-                     k0_compose, lax_compose_delta1, mobius, validate_delta1_matrix,
-                     validate_poset, zeta)
-from .simplex import TotalizationError, cc2
-from .documents import (DocumentError, KoszulSpec, parse_document, serialize_document,
-                        _matrix_json)
+from .exactlin import DimensionError, rat_str
+from .documents import DocumentError, parse_document, serialize_document, tag_of
+
+# Each handler imports the modules it runs, so a call loads only what its
+# subcommand needs (tests/test_lazy_imports.py lists what `import catcx.cli`
+# leaves out).
 
 
 class _Invalid(Exception):
@@ -43,48 +33,39 @@ class _Invalid(Exception):
         self.report = report
 
 
+def _failed(e: Exception) -> _Invalid:
+    """An invariant that failed while computing, reported like a failed check."""
+    return _Invalid({"type": "report", "valid": False, "problems": [str(e)]})
+
+
+def __getattr__(name):
+    # cli used to bind koszul.koszul as `koszul_complex` at import time;
+    # the name still resolves (bench/test_bench.py reads it), on first use
+    if name == "koszul_complex":
+        from .koszul import koszul
+        return koszul
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _load(path: str, strict: bool):
+def _load(path: str, strict: bool, *tags: str):
+    """The document in `path`; with tags given, it must have one of them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}")
-    return parse_document(text, strict=strict, warn=_warn)
-
-
-_TAGS = [
-    (ChainComplex, "chain_complex"), (ChainMap, "chain_map"),
-    (ChainHomotopy, "chain_homotopy"), (MultiComplex, "multicomplex"),
-    (ChainCube, "chain_cube"), (FDAlgebra, "fd_algebra"),
-    (KoszulSpec, "koszul_complex"), (PervDisk, "perv_disk"),
-    (PervFlag, "perv_flag"), (PervCube, "perv_cube"),
-    (LocalStar, "local_star"), (SheafEncoding, "sheaf_encoding"),
-    (SimplicialVS, "simplicial_vs"), (FinPoset, "fin_poset"),
-    (IntMatrix, "int_matrix"), (Delta1ChainMatrix, "delta1_chain_matrix"),
-    (Matrix, "matrix"),
-]
-
-
-def _tag_of(obj) -> str:
-    for cls, tag in _TAGS:
-        if isinstance(obj, cls):
-            return tag
-    return type(obj).__name__
-
-
-def _expect(obj, *types):
-    if not isinstance(obj, types):
-        wanted = ", ".join(t for c, t in _TAGS if c in types)
-        raise DocumentError(f"expected a {wanted} document, found {_tag_of(obj)}")
+    obj = parse_document(text, strict=strict, warn=_warn)
+    if tags and tag_of(obj) not in tags:
+        raise DocumentError(f"expected a {' or '.join(tags)} document, found {tag_of(obj)}")
     return obj
 
 
 def _report(obj, problems: List[str], extra: Optional[dict] = None) -> dict:
-    doc = {"type": "report", "doc_type": _tag_of(obj),
+    doc = {"type": "report", "doc_type": tag_of(obj),
            "valid": not problems, "problems": list(problems)}
     if extra:
         doc.update(extra)
@@ -96,231 +77,221 @@ def _require_valid(obj, problems: List[str]) -> None:
         raise _Invalid(_report(obj, problems))
 
 
-def _map_problems(f: ChainMap) -> List[str]:
-    problems = [f"source: {m}" for m in chain.validate_complex(f.source)]
-    problems += [f"target: {m}" for m in chain.validate_complex(f.target)]
-    problems += f.validate()
-    return problems
+# document tag -> (module, function) returning its problems, for the types
+# whose check is one function of their own module
+_CHECKS = {
+    "chain_complex": ("chain", "validate_complex"),
+    "multicomplex": ("multicplx", "validate_multicomplex"),
+    "chain_cube": ("multicplx", "validate_chain_cube"),
+    "perv_disk": ("perverse", "validate_disk"),
+    "perv_flag": ("perverse", "validate_flag"),
+    "perv_cube": ("perverse", "validate_cube"),
+    "local_star": ("perverse", "validate_local_star"),
+    "sheaf_encoding": ("perverse", "verify_encoding"),
+    "simplicial_vs": ("doldkan", "validate_simplicial"),
+    "fin_poset": ("laxmat", "validate_poset"),
+    "delta1_chain_matrix": ("laxmat", "validate_delta1_matrix"),
+}
 
 
-def _validate_any(obj) -> Tuple[List[str], dict]:
-    extra: dict = {}
-    if isinstance(obj, ChainComplex):
-        problems = chain.validate_complex(obj)
-    elif isinstance(obj, ChainMap):
-        problems = _map_problems(obj)
-    elif isinstance(obj, ChainHomotopy):
-        problems = [f"source: {m}" for m in chain.validate_complex(obj.source)]
-        problems += [f"target: {m}" for m in chain.validate_complex(obj.target)]
-    elif isinstance(obj, MultiComplex):
-        problems = validate_multicomplex(obj)
-    elif isinstance(obj, ChainCube):
-        problems = validate_chain_cube(obj)
-    elif isinstance(obj, FDAlgebra):
-        problems = obj.validate()
-    elif isinstance(obj, KoszulSpec):
+def _problems(obj) -> List[str]:
+    """The invariants `validate` checks, by document type."""
+    tag = tag_of(obj)
+    if tag in _CHECKS:
+        module, check = _CHECKS[tag]
+        return getattr(import_module(f".{module}", __package__), check)(obj)
+    if tag in ("chain_map", "chain_homotopy"):
+        problems = ([f"source: {m}" for m in _problems(obj.source)]
+                    + [f"target: {m}" for m in _problems(obj.target)])
+        return problems + obj.validate() if tag == "chain_map" else problems
+    if tag == "fd_algebra":
+        return obj.validate()
+    if tag == "koszul_complex":
+        from .koszul import AlgebraError, koszul
         problems = obj.algebra.validate()
         if not problems:
             try:
-                koszul_complex(obj.algebra, obj.lambdas)
+                koszul(obj.algebra, obj.lambdas)
             except AlgebraError as e:
                 problems = [str(e)]
-    elif isinstance(obj, PervDisk):
-        problems = validate_disk(obj)
-        if not problems:
-            t_psi, t_phi = disk_monodromies(obj)
-            extra = {"psi_monodromy": _matrix_json(t_psi),
-                     "phi_monodromy": _matrix_json(t_phi)}
-    elif isinstance(obj, PervFlag):
-        problems = validate_flag(obj)
-    elif isinstance(obj, PervCube):
-        problems = validate_cube(obj)
-    elif isinstance(obj, LocalStar):
-        problems = validate_local_star(obj)
-    elif isinstance(obj, SheafEncoding):
-        problems = verify_encoding(obj)
-    elif isinstance(obj, SimplicialVS):
-        problems = validate_simplicial(obj)
-    elif isinstance(obj, FinPoset):
-        problems = validate_poset(obj)
-    elif isinstance(obj, Delta1ChainMatrix):
-        problems = validate_delta1_matrix(obj)
-    elif isinstance(obj, (IntMatrix, Matrix)):
-        problems = []
-    else:
-        raise DocumentError(f"validate does not support {_tag_of(obj)} documents")
-    return problems, extra
+        return problems
+    if tag in ("int_matrix", "matrix"):
+        return []
+    raise DocumentError(f"validate does not support {tag} documents")
+
+
+def _valid(args, tag: str, *files: str) -> list:
+    """The documents in args' `files`, each a valid `tag` document.
+
+    All are read before any is checked, so a malformed file (exit 2) is
+    reported ahead of an invalid one (exit 1).
+    """
+    objs = [_load(getattr(args, f), args.strict, tag) for f in files]
+    for obj in objs:
+        _require_valid(obj, _problems(obj))
+    return objs
 
 
 # -- subcommand handlers -------------------------------------------------------
 
-def cmd_validate(args) -> Tuple[int, dict]:
+def cmd_validate(args):
     obj = _load(args.file, args.strict)
-    problems, extra = _validate_any(obj)
+    problems = _problems(obj)
+    extra = None
+    if not problems and tag_of(obj) == "perv_disk":
+        from .perverse import disk_monodromies
+        t_psi, t_phi = disk_monodromies(obj)
+        extra = {"psi_monodromy": t_psi.to_str_lists(),
+                 "phi_monodromy": t_phi.to_str_lists()}
     return (0 if not problems else 1), _report(obj, problems, extra)
 
 
 def cmd_homology(args):
-    C = _expect(_load(args.file, args.strict), ChainComplex)
-    _require_valid(C, chain.validate_complex(C))
-    dims = chain.homology_dims(C)
+    from .chain import homology_dims
+    dims = homology_dims(*_valid(args, "chain_complex", "file"))
     return 0, {"type": "homology",
                "dims": {str(k): v for k, v in sorted(dims.items())}}
 
 
 def cmd_cone(args):
-    f = _expect(_load(args.file, args.strict), ChainMap)
-    _require_valid(f, _map_problems(f))
-    return 0, chain.cone(f).complex
+    from .chain import cone
+    return 0, cone(*_valid(args, "chain_map", "file")).complex
 
 
 def cmd_tensor(args):
-    A = _expect(_load(args.left, args.strict), ChainComplex)
-    B = _expect(_load(args.right, args.strict), ChainComplex)
-    _require_valid(A, chain.validate_complex(A))
-    _require_valid(B, chain.validate_complex(B))
-    return 0, chain.tensor(A, B)
+    from .chain import tensor
+    return 0, tensor(*_valid(args, "chain_complex", "left", "right"))
 
 
 def cmd_hom_complex(args):
-    A = _expect(_load(args.left, args.strict), ChainComplex)
-    B = _expect(_load(args.right, args.strict), ChainComplex)
-    _require_valid(A, chain.validate_complex(A))
-    _require_valid(B, chain.validate_complex(B))
-    return 0, chain.hom_complex(A, B)
+    from .chain import hom_complex
+    return 0, hom_complex(*_valid(args, "chain_complex", "left", "right"))
 
 
 def cmd_totalize(args):
-    M = _expect(_load(args.file, args.strict), MultiComplex)
-    _require_valid(M, validate_multicomplex(M))
-    return 0, totalize(M)
+    from .multicplx import totalize
+    return 0, totalize(*_valid(args, "multicomplex", "file"))
+
+
+def _koszul_input(args):
+    # only the algebra is checked here: a differential that fails d.d = 0
+    # surfaces from the construction itself
+    spec = _load(args.file, args.strict, "koszul_complex")
+    _require_valid(spec, spec.algebra.validate())
+    return spec
 
 
 def cmd_koszul(args):
-    spec = _expect(_load(args.file, args.strict), KoszulSpec)
-    _require_valid(spec, spec.algebra.validate())
-    K = koszul_complex(spec.algebra, spec.lambdas)
-    return 0, realize(K)
+    from .koszul import AlgebraError, koszul, realize
+    spec = _koszul_input(args)
+    try:
+        return 0, realize(koszul(spec.algebra, spec.lambdas))
+    except AlgebraError as e:
+        raise _failed(e)
 
 
 def cmd_koszul_dual(args):
-    spec = _expect(_load(args.file, args.strict), KoszulSpec)
-    _require_valid(spec, spec.algebra.validate())
-    K = koszul_complex(spec.algebra, spec.lambdas)
-    dual = duality_iso(K)
+    from .koszul import AlgebraError, KoszulDualityError, duality_iso, koszul
+    spec = _koszul_input(args)
+    try:
+        K = koszul(spec.algebra, spec.lambdas)
+        dual = duality_iso(K)
+    except (AlgebraError, KoszulDualityError) as e:
+        raise _failed(e)
     return 0, {"type": "koszul_duality", "n": K.n,
                "target_lambdas": [[rat_str(x) for x in lam]
                                   for lam in dual.target.lambdas],
-               "maps": {str(i): _matrix_json(m.realize())
+               "maps": {str(i): m.realize().to_str_lists()
                         for i, m in sorted(dual.maps.items())}}
 
 
 def cmd_monodromy(args):
-    obj = _load(args.file, args.strict)
-    if isinstance(obj, PervDisk):
-        _require_valid(obj, validate_disk(obj))
+    from .perverse import disk_monodromies, flag_monodromies
+    obj = _load(args.file, args.strict, "perv_disk", "perv_flag")
+    _require_valid(obj, _problems(obj))
+    if tag_of(obj) == "perv_disk":
         t_psi, t_phi = disk_monodromies(obj)
-        return 0, {"type": "monodromy", "psi": _matrix_json(t_psi),
-                   "phi": _matrix_json(t_phi)}
-    if isinstance(obj, PervFlag):
-        _require_valid(obj, validate_flag(obj))
-        return 0, {"type": "monodromy",
-                   "levels": [_matrix_json(t) for t in flag_monodromies(obj)]}
-    raise DocumentError(f"expected a perv_disk or perv_flag document, found {_tag_of(obj)}")
+        return 0, {"type": "monodromy", "psi": t_psi.to_str_lists(),
+                   "phi": t_phi.to_str_lists()}
+    return 0, {"type": "monodromy",
+               "levels": [t.to_str_lists() for t in flag_monodromies(obj)]}
 
 
 def cmd_amalgamate(args):
-    P = _expect(_load(args.left, args.strict), PervDisk)
-    Q = _expect(_load(args.right, args.strict), PervDisk)
-    _require_valid(P, validate_disk(P))
-    _require_valid(Q, validate_disk(Q))
-    return 0, amalgamate(P, Q)
+    from .perverse import amalgamate
+    return 0, amalgamate(*_valid(args, "perv_disk", "left", "right"))
 
 
 def cmd_embed_cube(args):
-    P = _expect(_load(args.file, args.strict), PervFlag)
-    _require_valid(P, validate_flag(P))
-    return 0, flag_embed_cube(P)
+    from .perverse import flag_embed_cube
+    return 0, flag_embed_cube(*_valid(args, "perv_flag", "file"))
 
 
 def cmd_encode_sheaf(args):
-    obj = _load(args.file, args.strict)
-    if isinstance(obj, PervDisk):
-        _require_valid(obj, validate_disk(obj))
-        return 0, encode_sheaf(obj, dual=args.dual)
-    if isinstance(obj, PervFlag):
-        if args.dual:
-            raise DocumentError("--dual is only supported for perv_disk inputs")
-        _require_valid(obj, validate_flag(obj))
-        return 0, encode_sheaf_flag(obj)
-    raise DocumentError(f"expected a perv_disk or perv_flag document, found {_tag_of(obj)}")
+    from .perverse import encode_sheaf, encode_sheaf_flag
+    obj = _load(args.file, args.strict, "perv_disk", "perv_flag")
+    disk = tag_of(obj) == "perv_disk"
+    if args.dual and not disk:
+        raise DocumentError("--dual is only supported for perv_disk inputs")
+    _require_valid(obj, _problems(obj))
+    return 0, encode_sheaf(obj, dual=args.dual) if disk else encode_sheaf_flag(obj)
 
 
 def cmd_verify_encoding(args):
-    E = _expect(_load(args.file, args.strict), SheafEncoding)
-    problems = verify_encoding(E)
+    E = _load(args.file, args.strict, "sheaf_encoding")
+    problems = _problems(E)
     return (0 if not problems else 1), _report(E, problems)
 
 
 def cmd_dk_normalize(args):
-    X = _expect(_load(args.file, args.strict), SimplicialVS)
-    _require_valid(X, validate_simplicial(X))
-    return 0, normalize(X)
+    from .doldkan import normalize
+    return 0, normalize(*_valid(args, "simplicial_vs", "file"))
 
 
 def cmd_dk_gamma(args):
-    C = _expect(_load(args.file, args.strict), ChainComplex)
-    _require_valid(C, chain.validate_complex(C))
+    from .doldkan import gamma
+    C, = _valid(args, "chain_complex", "file")
     level = args.level if args.level is not None else max(C.hi, 0)
     return 0, gamma(C, level)
 
 
 def cmd_zeta(args):
-    P = _expect(_load(args.file, args.strict), FinPoset)
-    _require_valid(P, validate_poset(P))
-    return 0, zeta(P)
+    from .laxmat import zeta
+    return 0, zeta(*_valid(args, "fin_poset", "file"))
 
 
 def cmd_mobius(args):
-    P = _expect(_load(args.file, args.strict), FinPoset)
-    _require_valid(P, validate_poset(P))
-    return 0, mobius(P)
+    from .laxmat import mobius
+    return 0, mobius(*_valid(args, "fin_poset", "file"))
 
 
 def cmd_k0_compose(args):
-    N = _expect(_load(args.left, args.strict), IntMatrix)
-    M = _expect(_load(args.right, args.strict), IntMatrix)
-    P = _expect(_load(args.middle, args.strict), FinPoset)
-    _require_valid(P, validate_poset(P))
-    return 0, k0_compose(N, M, P)
+    from .laxmat import k0_compose
+    N, M = _valid(args, "int_matrix", "left", "right")
+    return 0, k0_compose(N, M, *_valid(args, "fin_poset", "middle"))
 
 
 def cmd_lax_compose(args):
-    N = _expect(_load(args.left, args.strict), Delta1ChainMatrix)
-    M = _expect(_load(args.right, args.strict), Delta1ChainMatrix)
-    _require_valid(N, validate_delta1_matrix(N))
-    _require_valid(M, validate_delta1_matrix(M))
-    return 0, lax_compose_delta1(N, M)
+    from .laxmat import lax_compose_delta1
+    return 0, lax_compose_delta1(*_valid(args, "delta1_chain_matrix", "left", "right"))
 
 
 def cmd_cof(args):
-    f = _expect(_load(args.file, args.strict), ChainMap)
-    _require_valid(f, _map_problems(f))
-    return 0, cof_action(f)
+    from .laxmat import cof_action
+    return 0, cof_action(*_valid(args, "chain_map", "file"))
 
 
 def cmd_fib(args):
-    f = _expect(_load(args.file, args.strict), ChainMap)
-    _require_valid(f, _map_problems(f))
-    return 0, fib_action(f)
+    from .laxmat import fib_action
+    return 0, fib_action(*_valid(args, "chain_map", "file"))
 
 
 def cmd_cc2(args):
-    u = _expect(_load(args.left, args.strict), ChainMap)
-    v = _expect(_load(args.right, args.strict), ChainMap)
-    _require_valid(u, _map_problems(u))
-    _require_valid(v, _map_problems(v))
-    return 0, cc2(u, v).total
+    from .simplex import TotalizationError, cc2
+    try:
+        return 0, cc2(*_valid(args, "chain_map", "left", "right")).total
+    except TotalizationError as e:
+        raise _failed(e)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -404,9 +375,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         except OSError as io_err:
             print(f"error: {io_err}", file=sys.stderr)
             return 2
-        return 1
-    except (AlgebraError, KoszulDualityError, TotalizationError) as e:
-        _emit({"type": "report", "valid": False, "problems": [str(e)]}, args)
         return 1
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)

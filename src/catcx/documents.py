@@ -12,8 +12,15 @@ Degree keys in JSON objects are strings ("2", "-1"); multidegrees and
 subsets are comma-joined ("1,0", "1,3", "" for the empty set).
 
 The environment variable CATCX_MAX_DIM (default 512) caps every declared
-dimension and matrix side at parse time, so a malicious or runaway input
-fails fast instead of allocating.
+dimension and matrix side at parse time, and the largest degree a Koszul
+input implies, so a malicious or runaway input fails fast instead of
+allocating.
+
+Each document type is one row of the table `_TYPES`: tag, defining module
+and class, parser and serializer.  A domain module is imported only when a
+document of its type is parsed, and serialization finds the row from the
+object's class without importing anything, so handling one type never
+loads the modules of the others.
 
 serialize_document is deterministic: sorted keys, fixed separators, one
 trailing newline.  parse_document(serialize_document(x)) reproduces x,
@@ -26,15 +33,10 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from math import comb
+from typing import Callable, Dict, Optional, Tuple
 
 from .exactlin import DimensionError, Matrix, rat_str
-from .chain import ChainComplex, ChainHomotopy, ChainMap, tensor
-from .multicplx import ChainCube, MultiComplex
-from .koszul import FDAlgebra, FreeKoszulComplex
-from .perverse import LocalStar, PervCube, PervDisk, PervFlag, SheafEncoding
-from .doldkan import SimplicialVS
-from .laxmat import Delta1ChainMatrix, FinPoset, IntMatrix
 
 MAX_DIM_ENV = "CATCX_MAX_DIM"
 DEFAULT_MAX_DIM = 512
@@ -92,13 +94,21 @@ def _exponent_too_large(x: str) -> bool:
     return len(exp) > 6 or digits + int(exp) > MAX_RATIONAL_DIGITS
 
 
+def _canonical_int(x: str) -> Optional[int]:
+    """x as an int when it is spelled exactly as str() spells that int."""
+    digits = x[1:] if x[:1] == "-" else x
+    if digits.isdecimal() and len(digits) <= MAX_RATIONAL_DIGITS:
+        n = int(x)
+        if str(n) == x:
+            return n
+    return None
+
+
 def parse_rational(x, strict: bool, warn: Warn, path: str) -> Fraction:
     if isinstance(x, str):
-        digits = x[1:] if x[:1] == "-" else x
-        if digits.isdecimal() and len(digits) <= MAX_RATIONAL_DIGITS:
-            n = int(x)
-            if str(n) == x:  # canonical integer: skip Fraction's string parser
-                return Fraction(n)
+        n = _canonical_int(x)
+        if n is not None:  # skip Fraction's string parser
+            return Fraction(n)
         if _exponent_too_large(x):
             raise DocumentError(f"rational exceeds {MAX_RATIONAL_DIGITS} digits", path)
         try:
@@ -156,7 +166,10 @@ def _parse_matrix(data, ctx: "_Ctx", path: str,
         row = _as_list(row, f"{path}[{i}]")
         widths.add(len(row))
         for j, cell in enumerate(row):
-            ent.append(parse_rational(cell, ctx.strict, ctx.warn, f"{path}[{i}][{j}]"))
+            # canonical integers stay ints, so Matrix takes its all-int path
+            n = _canonical_int(cell) if type(cell) is str else None
+            ent.append(n if n is not None
+                       else parse_rational(cell, ctx.strict, ctx.warn, f"{path}[{i}][{j}]"))
     if len(widths) > 1:
         raise DocumentError("ragged matrix", path)
     c = widths.pop() if widths else (cols if cols is not None else 0)
@@ -167,10 +180,6 @@ def _parse_matrix(data, ctx: "_Ctx", path: str,
     if cols is not None and c != cols:
         raise DocumentError(f"expected {cols} columns, found {c}", path)
     return Matrix(r, c, ent)
-
-
-def _matrix_json(m: Matrix) -> list:
-    return m.to_str_lists()
 
 
 def _subset_key(J) -> str:
@@ -218,6 +227,7 @@ class KoszulSpec:
 # -- per-type parsers ----------------------------------------------------------
 
 def _parse_chain_complex(d: dict, ctx: _Ctx, path: str) -> ChainComplex:
+    from .chain import ChainComplex
     lo = _as_int(_req(d, "lo", path), f"{path}.lo")
     hi = _as_int(_req(d, "hi", path), f"{path}.hi")
     if hi < lo:
@@ -255,6 +265,7 @@ def _parse_components(d, src: ChainComplex, tgt: ChainComplex, ctx: _Ctx,
 
 
 def _parse_chain_map(d: dict, ctx: _Ctx, path: str) -> ChainMap:
+    from .chain import ChainMap
     src = _parse_chain_complex(_as_dict(_req(d, "source", path), f"{path}.source"),
                                ctx, f"{path}.source")
     tgt = _parse_chain_complex(_as_dict(_req(d, "target", path), f"{path}.target"),
@@ -265,6 +276,7 @@ def _parse_chain_map(d: dict, ctx: _Ctx, path: str) -> ChainMap:
 
 
 def _parse_chain_homotopy(d: dict, ctx: _Ctx, path: str) -> ChainHomotopy:
+    from .chain import ChainHomotopy
     src = _parse_chain_complex(_as_dict(_req(d, "source", path), f"{path}.source"),
                                ctx, f"{path}.source")
     tgt = _parse_chain_complex(_as_dict(_req(d, "target", path), f"{path}.target"),
@@ -275,6 +287,7 @@ def _parse_chain_homotopy(d: dict, ctx: _Ctx, path: str) -> ChainHomotopy:
 
 
 def _parse_multicomplex(d: dict, ctx: _Ctx, path: str) -> MultiComplex:
+    from .multicplx import MultiComplex
     n = _as_int(_req(d, "n", path), f"{path}.n")
     if n < 1:
         raise DocumentError("n must be at least 1", f"{path}.n")
@@ -306,6 +319,8 @@ def _parse_multicomplex(d: dict, ctx: _Ctx, path: str) -> MultiComplex:
 
 
 def _parse_chain_cube(d: dict, ctx: _Ctx, path: str) -> ChainCube:
+    from .chain import ChainMap
+    from .multicplx import ChainCube
     n = _as_int(_req(d, "n", path), f"{path}.n")
     vertices = {}
     for key, v in _as_dict(_req(d, "vertices", path), f"{path}.vertices").items():
@@ -334,6 +349,7 @@ def _parse_chain_cube(d: dict, ctx: _Ctx, path: str) -> ChainCube:
 
 
 def _parse_fd_algebra(d: dict, ctx: _Ctx, path: str) -> FDAlgebra:
+    from .koszul import FDAlgebra
     m = _check_dim(_as_int(_req(d, "dim", path), f"{path}.dim"), f"{path}.dim", ctx.cap)
     structure_raw = _as_list(_req(d, "structure", path), f"{path}.structure")
     if len(structure_raw) != m:
@@ -363,8 +379,16 @@ def _parse_fd_algebra(d: dict, ctx: _Ctx, path: str) -> FDAlgebra:
 def _parse_koszul(d: dict, ctx: _Ctx, path: str) -> KoszulSpec:
     alg = _parse_fd_algebra(_as_dict(_req(d, "algebra", path), f"{path}.algebra"),
                             ctx, f"{path}.algebra")
+    lams_raw = _as_list(_req(d, "lambdas", path), f"{path}.lambdas")
+    # K has C(n, k) * dim basis vectors in degree k, most at k = n // 2
+    n = len(lams_raw)
+    largest = comb(n, n // 2) * alg.dim
+    if largest > ctx.cap:
+        raise DocumentError(f"{n} lambdas over a {alg.dim}-dimensional algebra imply a "
+                            f"degree of dimension {largest}, which exceeds "
+                            f"{MAX_DIM_ENV}={ctx.cap}", f"{path}.lambdas")
     lams = []
-    for i, lam in enumerate(_as_list(_req(d, "lambdas", path), f"{path}.lambdas")):
+    for i, lam in enumerate(lams_raw):
         lam = _as_list(lam, f"{path}.lambdas[{i}]")
         if len(lam) != alg.dim:
             raise DocumentError("lambda vector has wrong length", f"{path}.lambdas[{i}]")
@@ -375,6 +399,7 @@ def _parse_koszul(d: dict, ctx: _Ctx, path: str) -> KoszulSpec:
 
 
 def _parse_perv_disk(d: dict, ctx: _Ctx, path: str) -> PervDisk:
+    from .perverse import PervDisk
     f = _parse_matrix(_req(d, "f", path), ctx, f"{path}.f")
     g = _parse_matrix(_req(d, "g", path), ctx, f"{path}.g",
                       rows=f.cols, cols=f.rows)
@@ -382,6 +407,7 @@ def _parse_perv_disk(d: dict, ctx: _Ctx, path: str) -> PervDisk:
 
 
 def _parse_perv_flag(d: dict, ctx: _Ctx, path: str) -> PervFlag:
+    from .perverse import PervFlag
     dims_raw = _as_list(_req(d, "dims", path), f"{path}.dims")
     if not dims_raw:
         raise DocumentError("dims must be nonempty", f"{path}.dims")
@@ -401,6 +427,7 @@ def _parse_perv_flag(d: dict, ctx: _Ctx, path: str) -> PervFlag:
 
 
 def _parse_perv_cube(d: dict, ctx: _Ctx, path: str) -> PervCube:
+    from .perverse import PervCube
     n = _as_int(_req(d, "n", path), f"{path}.n")
     if n < 1:
         raise DocumentError("n must be at least 1", f"{path}.n")
@@ -432,6 +459,7 @@ def _parse_perv_cube(d: dict, ctx: _Ctx, path: str) -> PervCube:
 
 
 def _parse_local_star(d: dict, ctx: _Ctx, path: str) -> LocalStar:
+    from .perverse import LocalStar
     f_raw = _as_list(_req(d, "f", path), f"{path}.f")
     g_raw = _as_list(_req(d, "g", path), f"{path}.g")
     if not f_raw or len(f_raw) != len(g_raw):
@@ -444,6 +472,8 @@ def _parse_local_star(d: dict, ctx: _Ctx, path: str) -> LocalStar:
 
 
 def _parse_sheaf_encoding(d: dict, ctx: _Ctx, path: str) -> SheafEncoding:
+    from .chain import ChainHomotopy, ChainMap
+    from .perverse import SheafEncoding
     dual = _req(d, "dual", path)
     if not isinstance(dual, bool):
         raise DocumentError("dual must be a boolean", f"{path}.dual")
@@ -477,6 +507,7 @@ def _parse_sheaf_encoding(d: dict, ctx: _Ctx, path: str) -> SheafEncoding:
 
 
 def _parse_simplicial(d: dict, ctx: _Ctx, path: str) -> SimplicialVS:
+    from .doldkan import SimplicialVS
     N = _as_int(_req(d, "N", path), f"{path}.N")
     if N < 0:
         raise DocumentError("N must be nonnegative", f"{path}.N")
@@ -517,6 +548,7 @@ def _parse_simplicial(d: dict, ctx: _Ctx, path: str) -> SimplicialVS:
 
 
 def _parse_fin_poset(d: dict, ctx: _Ctx, path: str) -> FinPoset:
+    from .laxmat import FinPoset
     labels_raw = _as_list(_req(d, "labels", path), f"{path}.labels")
     labels = []
     for i, s in enumerate(labels_raw):
@@ -542,6 +574,7 @@ def _parse_fin_poset(d: dict, ctx: _Ctx, path: str) -> FinPoset:
 
 
 def _parse_int_matrix(d: dict, ctx: _Ctx, path: str) -> IntMatrix:
+    from .laxmat import IntMatrix
     rl = _as_list(_req(d, "row_labels", path), f"{path}.row_labels")
     cl = _as_list(_req(d, "col_labels", path), f"{path}.col_labels")
     for i, s in enumerate(rl + cl):
@@ -563,6 +596,8 @@ def _parse_int_matrix(d: dict, ctx: _Ctx, path: str) -> IntMatrix:
 
 
 def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
+    from .chain import ChainMap, tensor
+    from .laxmat import Delta1ChainMatrix
     g_src = _parse_chain_complex(_as_dict(_req(d, "g_src", path), f"{path}.g_src"),
                                  ctx, f"{path}.g_src")
     g_tgt = _parse_chain_complex(_as_dict(_req(d, "g_tgt", path), f"{path}.g_tgt"),
@@ -595,28 +630,160 @@ def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
                              cell_f1=cells["f1"], cell_1f=cells["1f"])
 
 
+# -- serializers: one per type, each returning the document without its tag --
+#
+# Key order does not matter: serialize_document sorts keys.
+
+def _components_json(comps: Dict[int, Matrix]) -> dict:
+    return {str(k): m.to_str_lists() for k, m in comps.items() if m.rows and m.cols}
+
+
+def _chain_complex_json(C) -> dict:
+    diffs = {}
+    for k in range(C.lo + 1, C.hi + 1):
+        m = C.d(k)
+        if m.rows and m.cols:
+            diffs[str(k)] = m.to_str_lists()
+    return {"lo": C.lo, "hi": C.hi, "dims": list(C.dims), "differentials": diffs}
+
+
+def _chain_map_json(f) -> dict:
+    """Chain maps and chain homotopies alike."""
+    return {"source": _to_jsonable(f.source), "target": _to_jsonable(f.target),
+            "components": _components_json(f.comps)}
+
+
+def _multicomplex_json(M) -> dict:
+    diffs = {}
+    for j in range(1, M.n + 1):
+        table = {}
+        for a, m in M.diffs.get(j, {}).items():
+            if m.rows and m.cols:
+                table[_deg_key(a)] = m.to_str_lists()
+        if table:
+            diffs[str(j)] = table
+    return {"n": M.n, "support": {"lo": list(M.lo), "hi": list(M.hi)},
+            "dims": {_deg_key(a): v for a, v in M.dims.items()},
+            "differentials": diffs}
+
+
+def _chain_cube_json(Q) -> dict:
+    edges = {}
+    for i in range(1, Q.n + 1):
+        edges[str(i)] = {_subset_key(J): _components_json(e.comps)
+                         for J, e in Q.edges[i].items()}
+    return {"n": Q.n, "vertices": {_subset_key(J): _to_jsonable(v)
+                                   for J, v in Q.vertices.items()},
+            "edges": edges}
+
+
+def _fd_algebra_json(A) -> dict:
+    return {"dim": A.dim,
+            "structure": [[[rat_str(x) for x in row] for row in plane]
+                          for plane in A.structure],
+            "unit": [rat_str(x) for x in A.unit]}
+
+
+def _koszul_json(K) -> dict:
+    """Koszul inputs and built Koszul complexes alike."""
+    return {"algebra": _to_jsonable(K.algebra),
+            "lambdas": [[rat_str(x) for x in lam] for lam in K.lambdas]}
+
+
+def _perv_cube_json(P) -> dict:
+    def side(table):
+        return {str(i): {_subset_key(J): m.to_str_lists() for J, m in sub.items()}
+                for i, sub in table.items()}
+    return {"n": P.n, "dims": {_subset_key(J): v for J, v in P.dims.items()},
+            "f": side(P.f), "g": side(P.g)}
+
+
+def _sheaf_encoding_json(E) -> dict:
+    return {"dual": E.dual, "stalks": [_to_jsonable(s) for s in E.stalks],
+            "maps": [_components_json(m.comps) for m in E.maps],
+            "monodromies": [_components_json(m.comps) for m in E.monodromies],
+            "homotopies": [_components_json(h.comps) for h in E.homotopies]}
+
+
+def _simplicial_json(X) -> dict:
+    def ops(table):
+        return {str(n): [m.to_str_lists() for m in maps] for n, maps in table.items()}
+    return {"N": X.n_max, "dims": list(X.dims),
+            "faces": ops(X.faces), "degeneracies": ops(X.degeneracies)}
+
+
+def _delta1_json(N) -> dict:
+    return {"g_src": _to_jsonable(N.g_src), "g_tgt": _to_jsonable(N.g_tgt),
+            "entries": {f"{t},{s}": _to_jsonable(N.entry(t, s))
+                        for t in (0, 1) for s in (0, 1)},
+            "cells": {"f0": _components_json(N.cell_f0.comps),
+                      "0f": _components_json(N.cell_0f.comps),
+                      "f1": _components_json(N.cell_f1.comps),
+                      "1f": _components_json(N.cell_1f.comps)}}
+
+
+def _parse_matrix_document(d: dict, ctx: _Ctx, path: str) -> Matrix:
+    return _parse_matrix(_req(d, "entries", path), ctx, f"{path}.entries")
+
+
+# -- the table of document types -------------------------------------------------
+
+_TYPES = (
+    # (tag, module, class, parse, to_json)
+    ("chain_complex", "chain", "ChainComplex", _parse_chain_complex, _chain_complex_json),
+    ("chain_map", "chain", "ChainMap", _parse_chain_map, _chain_map_json),
+    ("chain_homotopy", "chain", "ChainHomotopy", _parse_chain_homotopy, _chain_map_json),
+    ("multicomplex", "multicplx", "MultiComplex", _parse_multicomplex, _multicomplex_json),
+    ("chain_cube", "multicplx", "ChainCube", _parse_chain_cube, _chain_cube_json),
+    ("fd_algebra", "koszul", "FDAlgebra", _parse_fd_algebra, _fd_algebra_json),
+    ("koszul_complex", "documents", "KoszulSpec", _parse_koszul, _koszul_json),
+    ("koszul_complex", "koszul", "FreeKoszulComplex", _parse_koszul, _koszul_json),
+    ("perv_disk", "perverse", "PervDisk", _parse_perv_disk,
+     lambda P: {"f": P.f.to_str_lists(), "g": P.g.to_str_lists()}),
+    ("perv_flag", "perverse", "PervFlag", _parse_perv_flag,
+     lambda P: {"dims": list(P.dims), "d": [m.to_str_lists() for m in P.d],
+                "delta": [m.to_str_lists() for m in P.delta]}),
+    ("perv_cube", "perverse", "PervCube", _parse_perv_cube, _perv_cube_json),
+    ("local_star", "perverse", "LocalStar", _parse_local_star,
+     lambda S: {"f": [m.to_str_lists() for m in S.f],
+                "g": [m.to_str_lists() for m in S.g]}),
+    ("sheaf_encoding", "perverse", "SheafEncoding", _parse_sheaf_encoding,
+     _sheaf_encoding_json),
+    ("simplicial_vs", "doldkan", "SimplicialVS", _parse_simplicial, _simplicial_json),
+    ("fin_poset", "laxmat", "FinPoset", _parse_fin_poset,
+     lambda P: {"labels": list(P.labels), "leq": [list(row) for row in P.leq]}),
+    ("int_matrix", "laxmat", "IntMatrix", _parse_int_matrix,
+     lambda M: {"row_labels": list(M.row_labels), "col_labels": list(M.col_labels),
+                "entries": [list(row) for row in M.entries]}),
+    ("delta1_chain_matrix", "laxmat", "Delta1ChainMatrix", _parse_delta1, _delta1_json),
+    ("matrix", "exactlin", "Matrix", _parse_matrix_document,
+     lambda m: {"entries": m.to_str_lists()}),
+)
+
+_PARSER_OF = {tag: parse for tag, _, _, parse, _ in _TYPES}
+_ROW_OF_CLASS = {(f"{__package__}.{module}", cls): (tag, to_json)
+                 for tag, module, cls, _, to_json in _TYPES}
+
 _PASSTHROUGH_TYPES = ("report", "homology", "monodromy", "koszul_duality")
 
-_PARSERS = {
-    "chain_complex": _parse_chain_complex,
-    "chain_map": _parse_chain_map,
-    "chain_homotopy": _parse_chain_homotopy,
-    "multicomplex": _parse_multicomplex,
-    "chain_cube": _parse_chain_cube,
-    "fd_algebra": _parse_fd_algebra,
-    "koszul_complex": _parse_koszul,
-    "perv_disk": _parse_perv_disk,
-    "perv_flag": _parse_perv_flag,
-    "perv_cube": _parse_perv_cube,
-    "local_star": _parse_local_star,
-    "sheaf_encoding": _parse_sheaf_encoding,
-    "simplicial_vs": _parse_simplicial,
-    "fin_poset": _parse_fin_poset,
-    "int_matrix": _parse_int_matrix,
-    "delta1_chain_matrix": _parse_delta1,
-    "matrix": lambda d, ctx, path: _parse_matrix(_req(d, "entries", path), ctx,
-                                                 f"{path}.entries"),
-}
+
+def _row_of(obj) -> Optional[Tuple[str, Callable]]:
+    """(tag, to_json) of the nearest class in obj's MRO with a document type.
+
+    Walking the MRO gives isinstance semantics without importing any
+    domain module: obj's own classes are loaded already.
+    """
+    for cls in type(obj).__mro__:
+        row = _ROW_OF_CLASS.get((cls.__module__, cls.__qualname__))
+        if row is not None:
+            return row
+    return None
+
+
+def tag_of(obj) -> str:
+    """The document tag of obj's type, or its class name if it has none."""
+    row = _row_of(obj)
+    return row[0] if row is not None else type(obj).__name__
 
 
 def parse_document(text: str, strict: bool = False, warn: Warn = None):
@@ -637,7 +804,7 @@ def parse_document(text: str, strict: bool = False, warn: Warn = None):
         raise DocumentError("missing or non-string 'type' field")
     if tag in _PASSTHROUGH_TYPES:
         return data
-    parser = _PARSERS.get(tag)
+    parser = _PARSER_OF.get(tag)
     if parser is None:
         raise DocumentError(f"unknown document type {tag!r}")
     try:
@@ -646,120 +813,14 @@ def parse_document(text: str, strict: bool = False, warn: Warn = None):
         raise DocumentError(str(e))
 
 
-# -- serialization -------------------------------------------------------------
-
-def _cc_json(C: ChainComplex) -> dict:
-    diffs = {}
-    for k in range(C.lo + 1, C.hi + 1):
-        m = C.d(k)
-        if m.rows and m.cols:
-            diffs[str(k)] = _matrix_json(m)
-    return {"type": "chain_complex", "lo": C.lo, "hi": C.hi,
-            "dims": list(C.dims), "differentials": diffs}
-
-
-def _components_json(comps: Dict[int, Matrix]) -> dict:
-    return {str(k): _matrix_json(m) for k, m in comps.items() if m.rows and m.cols}
-
-
 def _to_jsonable(obj):
     if isinstance(obj, dict):
         return obj
-    if isinstance(obj, ChainComplex):
-        return _cc_json(obj)
-    if isinstance(obj, ChainMap):
-        return {"type": "chain_map", "source": _cc_json(obj.source),
-                "target": _cc_json(obj.target),
-                "components": _components_json(obj.comps)}
-    if isinstance(obj, ChainHomotopy):
-        return {"type": "chain_homotopy", "source": _cc_json(obj.source),
-                "target": _cc_json(obj.target),
-                "components": _components_json(obj.comps)}
-    if isinstance(obj, MultiComplex):
-        diffs = {}
-        for j in range(1, obj.n + 1):
-            table = {}
-            for a, m in obj.diffs.get(j, {}).items():
-                if m.rows and m.cols:
-                    table[_deg_key(a)] = _matrix_json(m)
-            if table:
-                diffs[str(j)] = table
-        return {"type": "multicomplex", "n": obj.n,
-                "support": {"lo": list(obj.lo), "hi": list(obj.hi)},
-                "dims": {_deg_key(a): v for a, v in sorted(obj.dims.items())},
-                "differentials": diffs}
-    if isinstance(obj, ChainCube):
-        edges = {}
-        for i in range(1, obj.n + 1):
-            table = {}
-            for J, e in obj.edges[i].items():
-                table[_subset_key(J)] = _components_json(e.comps)
-            edges[str(i)] = table
-        return {"type": "chain_cube", "n": obj.n,
-                "vertices": {_subset_key(J): _cc_json(v)
-                             for J, v in sorted(obj.vertices.items(),
-                                                key=lambda kv: _subset_key(kv[0]))},
-                "edges": edges}
-    if isinstance(obj, FDAlgebra):
-        return {"type": "fd_algebra", "dim": obj.dim,
-                "structure": [[[rat_str(x) for x in row] for row in plane]
-                              for plane in obj.structure],
-                "unit": [rat_str(x) for x in obj.unit]}
-    if isinstance(obj, (FreeKoszulComplex, KoszulSpec)):
-        return {"type": "koszul_complex", "algebra": _to_jsonable(obj.algebra),
-                "lambdas": [[rat_str(x) for x in lam] for lam in obj.lambdas]}
-    if isinstance(obj, PervDisk):
-        return {"type": "perv_disk", "f": _matrix_json(obj.f), "g": _matrix_json(obj.g)}
-    if isinstance(obj, PervFlag):
-        return {"type": "perv_flag", "dims": list(obj.dims),
-                "d": [_matrix_json(m) for m in obj.d],
-                "delta": [_matrix_json(m) for m in obj.delta]}
-    if isinstance(obj, PervCube):
-        def side(table):
-            return {str(i): {_subset_key(J): _matrix_json(m)
-                             for J, m in sorted(sub.items(),
-                                                key=lambda kv: _subset_key(kv[0]))}
-                    for i, sub in sorted(table.items())}
-        return {"type": "perv_cube", "n": obj.n,
-                "dims": {_subset_key(J): v
-                         for J, v in sorted(obj.dims.items(),
-                                            key=lambda kv: _subset_key(kv[0]))},
-                "f": side(obj.f), "g": side(obj.g)}
-    if isinstance(obj, LocalStar):
-        return {"type": "local_star",
-                "f": [_matrix_json(m) for m in obj.f],
-                "g": [_matrix_json(m) for m in obj.g]}
-    if isinstance(obj, SheafEncoding):
-        return {"type": "sheaf_encoding", "dual": obj.dual,
-                "stalks": [_cc_json(s) for s in obj.stalks],
-                "maps": [_components_json(m.comps) for m in obj.maps],
-                "monodromies": [_components_json(m.comps) for m in obj.monodromies],
-                "homotopies": [_components_json(h.comps) for h in obj.homotopies]}
-    if isinstance(obj, SimplicialVS):
-        return {"type": "simplicial_vs", "N": obj.n_max, "dims": list(obj.dims),
-                "faces": {str(n): [_matrix_json(m) for m in ops]
-                          for n, ops in sorted(obj.faces.items())},
-                "degeneracies": {str(n): [_matrix_json(m) for m in ops]
-                                 for n, ops in sorted(obj.degeneracies.items())}}
-    if isinstance(obj, FinPoset):
-        return {"type": "fin_poset", "labels": list(obj.labels),
-                "leq": [list(row) for row in obj.leq]}
-    if isinstance(obj, IntMatrix):
-        return {"type": "int_matrix", "row_labels": list(obj.row_labels),
-                "col_labels": list(obj.col_labels),
-                "entries": [list(row) for row in obj.entries]}
-    if isinstance(obj, Delta1ChainMatrix):
-        return {"type": "delta1_chain_matrix",
-                "g_src": _cc_json(obj.g_src), "g_tgt": _cc_json(obj.g_tgt),
-                "entries": {f"{t},{s}": _cc_json(obj.entry(t, s))
-                            for t in (0, 1) for s in (0, 1)},
-                "cells": {"f0": _components_json(obj.cell_f0.comps),
-                          "0f": _components_json(obj.cell_0f.comps),
-                          "f1": _components_json(obj.cell_f1.comps),
-                          "1f": _components_json(obj.cell_1f.comps)}}
-    if isinstance(obj, Matrix):
-        return {"type": "matrix", "entries": _matrix_json(obj)}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    row = _row_of(obj)
+    if row is None:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    tag, to_json = row
+    return {"type": tag, **to_json(obj)}
 
 
 def serialize_document(obj, pretty: bool = False) -> str:

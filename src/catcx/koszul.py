@@ -13,22 +13,31 @@ as the left-associated iterated tensor of the two-term complexes
 ord(n-1, k).  With that order, realizing K and realizing the iterated
 tensor give literally equal matrices.
 
-realize() flattens everything to Q by replacing each entry l with the
-multiplication-by-l matrix.
+Matrices over R (RMatrix) are sparse: a dict from (row, col) to each
+nonzero entry.  The column of e_S in a differential has only |S| nonzeros
+and a duality map one per row and column, so products (the d.d = 0 and
+commutation checks), transposes and comparisons cost work in the number
+of nonzeros, not in the square of the rank.  realize() flattens
+everything to Q by replacing each entry l with the multiplication-by-l
+matrix, placing only the nonzero blocks.
 
 Self-duality: the R-linear dual of K, reindexed by n - degree, is
 isomorphic over R to K(l_n, ..., l_1) via e_S-dual -> sgn(S) e_{P(S)}
 where P(S) lists the complement of S in reversed-position labels and
 sgn(S) is the sign of the shuffle that sorts (complement of S, S).  The
-isomorphism is verified degree by degree at construction time; a failure
-raises, since it would mean a sign error in one of the two conventions.
+isomorphism is verified degree by degree at construction time: each map
+must commute with the differentials and be invertible, which for these
+maps (one +-unit per row and column) means that each entry's
+multiplication matrix is invertible.  A failure raises, since it would
+mean a sign error in one of the two conventions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, List, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix, rat
 from .chain import ChainComplex
@@ -125,67 +134,96 @@ class FDAlgebra:
 
 
 class RMatrix:
-    """Matrix with entries in a fixed FDAlgebra, row-major."""
+    """Matrix with entries in a fixed FDAlgebra, stored sparsely.
 
-    __slots__ = ("algebra", "rows", "cols", "_e")
+    `_nz` maps (row, col) to each nonzero entry; every other entry is zero.
+    No zero is ever stored, so equal matrices have equal dicts.
+    """
+
+    __slots__ = ("algebra", "rows", "cols", "_nz")
 
     def __init__(self, algebra: FDAlgebra, rows: int, cols: int, entries: Sequence[Vec]):
+        """From row-major dense entries."""
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
+            raise DimensionError("RMatrix entry count mismatch")
         self.algebra = algebra
         self.rows = rows
         self.cols = cols
-        self._e = tuple(entries)
-        if len(self._e) != rows * cols:
-            raise DimensionError("RMatrix entry count mismatch")
+        self._nz = {divmod(t, cols): tuple(v) for t, v in enumerate(entries) if any(v)}
+
+    @classmethod
+    def _of(cls, algebra: FDAlgebra, rows: int, cols: int,
+            nz: Dict[Tuple[int, int], Vec]) -> "RMatrix":
+        """Trusted constructor: `nz` holds only nonzero entries inside the shape."""
+        m = object.__new__(cls)
+        m.algebra = algebra
+        m.rows = rows
+        m.cols = cols
+        m._nz = nz
+        return m
 
     @classmethod
     def zeros(cls, algebra: FDAlgebra, rows: int, cols: int) -> "RMatrix":
-        return cls(algebra, rows, cols, [algebra.zero()] * (rows * cols))
+        return cls._of(algebra, rows, cols, {})
+
+    def _check_index(self, i: int, j: int) -> None:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError((i, j))
 
     def __getitem__(self, ij) -> Vec:
         i, j = ij
-        return self._e[i * self.cols + j]
+        self._check_index(i, j)
+        return self._nz.get((i, j)) or self.algebra.zero()
 
     def put(self, i: int, j: int, v: Vec) -> "RMatrix":
-        e = list(self._e)
-        e[i * self.cols + j] = v
-        return RMatrix(self.algebra, self.rows, self.cols, e)
+        self._check_index(i, j)
+        nz = dict(self._nz)
+        if any(v):
+            nz[i, j] = tuple(v)
+        else:
+            nz.pop((i, j), None)
+        return RMatrix._of(self.algebra, self.rows, self.cols, nz)
 
     def __mul__(self, other: "RMatrix") -> "RMatrix":
         if self.cols != other.rows:
             raise DimensionError("RMatrix shape mismatch")
-        A = self.algebra
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = A.zero()
-                for k in range(self.cols):
-                    term = A.mult(self[i, k], other[k, j])
-                    acc = tuple(a + b for a, b in zip(acc, term))
-                out.append(acc)
-        return RMatrix(A, self.rows, other.cols, out)
+        row_of_other: Dict[int, List[Tuple[int, Vec]]] = {}
+        for (k, j), b in other._nz.items():
+            row_of_other.setdefault(k, []).append((j, b))
+        mult = self.algebra.mult
+        acc: Dict[Tuple[int, int], Vec] = {}
+        for (i, k), a in self._nz.items():
+            for j, b in row_of_other.get(k, ()):
+                t = mult(a, b)
+                s = acc.get((i, j))
+                acc[i, j] = t if s is None else tuple(map(add, s, t))
+        return RMatrix._of(self.algebra, self.rows, other.cols,
+                           {ij: v for ij, v in acc.items() if any(v)})
 
     def transpose(self) -> "RMatrix":
-        ent = [self._e[i * self.cols + j]
-               for j in range(self.cols) for i in range(self.rows)]
-        return RMatrix(self.algebra, self.cols, self.rows, ent)
+        return RMatrix._of(self.algebra, self.cols, self.rows,
+                           {(j, i): v for (i, j), v in self._nz.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._e == other._e
+        return (self.rows, self.cols) == (other.rows, other.cols) and self._nz == other._nz
 
     def is_zero(self) -> bool:
-        z = self.algebra.zero()
-        return all(v == z for v in self._e)
+        return not self._nz
 
     def realize(self) -> Matrix:
         """Replace each R entry by its multiplication matrix (block form)."""
         m = self.algebra.dim
-        if self.rows == 0 or self.cols == 0:
-            return Matrix.zeros(self.rows * m, self.cols * m)
-        grid = [[self.algebra.mult_matrix(self[i, j]) for j in range(self.cols)]
-                for i in range(self.rows)]
-        return Matrix.block(grid)
+        mult_matrices: Dict[Vec, Matrix] = {}
+        blocks = []
+        for (i, j), v in self._nz.items():
+            blk = mult_matrices.get(v)
+            if blk is None:
+                blk = mult_matrices[v] = self.algebra.mult_matrix(v)
+            blocks.append((i * m, j * m, blk))
+        return Matrix.from_blocks(self.rows * m, self.cols * m, blocks)
 
 
 def subset_order(n: int, k: int) -> List[Tuple[int, ...]]:
@@ -217,19 +255,19 @@ def koszul(algebra: FDAlgebra, lambdas: Sequence[Sequence]) -> FreeKoszulComplex
     n = len(ls)
     if n == 0:
         raise DimensionError("need at least one lambda")
+    # (l_i, -l_i), or None where l_i = 0 and contributes no entries
+    signed = [(l, tuple(-x for x in l)) if any(l) else None for l in ls]
     basis = tuple(tuple(subset_order(n, k)) for k in range(n + 1))
-    index = [{S: i for i, S in enumerate(level)} for level in basis]
     sym_d: Dict[int, RMatrix] = {}
     for k in range(1, n + 1):
-        m = RMatrix.zeros(algebra, len(basis[k - 1]), len(basis[k]))
+        row_of = {S: r for r, S in enumerate(basis[k - 1])}
+        nz = {}
         for col, S in enumerate(basis[k]):
+            # S is ascending, so exactly pos members of S lie below i = S[pos]
             for pos, i in enumerate(S):
-                below = sum(1 for j in S if j < i)
-                rest = tuple(j for j in S if j != i)
-                row = index[k - 1][rest]
-                entry = ls[i - 1] if below % 2 == 0 else tuple(-x for x in ls[i - 1])
-                m = m.put(row, col, entry)
-        sym_d[k] = m
+                if signed[i - 1] is not None:
+                    nz[row_of[S[:pos] + S[pos + 1:]], col] = signed[i - 1][pos % 2]
+        sym_d[k] = RMatrix._of(algebra, len(basis[k - 1]), len(basis[k]), nz)
     for k in range(2, n + 1):
         if not (sym_d[k - 1] * sym_d[k]).is_zero():
             raise AlgebraError(f"Koszul differential does not square to zero at degree {k}")
@@ -265,30 +303,43 @@ def dual_differential(K: FreeKoszulComplex, i: int) -> RMatrix:
     return K.sym_d[K.n - i + 1].transpose()
 
 
+def _is_unit_monomial(phi: RMatrix) -> bool:
+    """Whether phi has exactly one nonzero entry in each row and each column,
+    each a unit of R.  Such a matrix is invertible (its inverse is the
+    transpose with every entry inverted): realized over Q it is a block
+    permutation of invertible multiplication matrices."""
+    n = len(phi._nz)
+    if not (n == phi.rows == phi.cols == len({i for i, _ in phi._nz})
+            == len({j for _, j in phi._nz})):
+        return False
+    mult_matrix = phi.algebra.mult_matrix
+    return all(mult_matrix(v).is_invertible() for v in set(phi._nz.values()))
+
+
 def duality_iso(K: FreeKoszulComplex) -> KoszulDuality:
     n = K.n
     A = K.algebra
     target = koszul(A, [list(l) for l in reversed(K.lambdas)])
-    tgt_index = [{S: r for r, S in enumerate(level)} for level in target.basis]
-    maps: Dict[int, RMatrix] = {}
     one = A.unit
+    minus_one = tuple(-x for x in one)
+    maps: Dict[int, RMatrix] = {}
     for i in range(n + 1):
+        row_of = {S: r for r, S in enumerate(target.basis[i])}
         src_level = K.basis[n - i]     # dual basis e_S-dual, |S| = n - i
-        phi = RMatrix.zeros(A, len(target.basis[i]), len(src_level))
+        nz = {}
         for col, S in enumerate(src_level):
             comp = tuple(j for j in range(1, n + 1) if j not in S)
             pos = tuple(sorted(n + 1 - j for j in comp))
-            sgn = shuffle_sign(comp, S)
-            entry = one if sgn == 1 else tuple(-x for x in one)
-            phi = phi.put(tgt_index[i][pos], col, entry)
-        maps[i] = phi
+            if any(one):
+                nz[row_of[pos], col] = one if shuffle_sign(comp, S) == 1 else minus_one
+        maps[i] = RMatrix._of(A, len(target.basis[i]), len(src_level), nz)
     for i in range(1, n + 1):
         lhs = maps[i - 1] * dual_differential(K, i)
         rhs = target.sym_d[i] * maps[i]
         if lhs != rhs:
             raise KoszulDualityError(f"duality map fails to commute at degree {i}")
     for i in range(n + 1):
-        if maps[i].realize().invert() is None:
+        if not _is_unit_monomial(maps[i]):
             raise KoszulDualityError(f"duality map not invertible at degree {i}")
     return KoszulDuality(K, target, maps)
 

@@ -17,7 +17,6 @@ iterated mapping cone, axis 1 first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 

@@ -27,12 +27,11 @@ replays every axiom from scratch, so a single tampered entry is caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Tuple
 
 from .exactlin import DimensionError, Matrix
-from .chain import (ChainComplex, ChainMap, ChainHomotopy, check_homotopy,
-                    identity_map, validate_complex)
+from .chain import ChainComplex, ChainMap, ChainHomotopy, validate_complex
 
 
 @dataclass(frozen=True)
