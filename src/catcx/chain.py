@@ -19,6 +19,7 @@ outermost (Kronecker order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .exactlin import DimensionError, Matrix
@@ -43,13 +44,14 @@ class ChainComplex:
         full: Dict[int, Matrix] = {}
         diffs = diffs or {}
         for k in range(lo + 1, hi + 1):
+            rows, cols = dims[k - 1 - lo], dims[k - lo]
             m = diffs.get(k)
             if m is None:
-                m = Matrix.zeros(self.dim(k - 1), self.dim(k))
-            if (m.rows, m.cols) != (self.dim(k - 1), self.dim(k)):
+                m = Matrix.zeros(rows, cols)
+            elif (m.rows, m.cols) != (rows, cols):
                 raise DimensionError(
                     f"differential at degree {k} has shape {m.rows}x{m.cols}, "
-                    f"expected {self.dim(k - 1)}x{self.dim(k)}"
+                    f"expected {rows}x{cols}"
                 )
             full[k] = m
         self.diffs = full
@@ -73,6 +75,8 @@ class ChainComplex:
         return sum(self.dims)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ChainComplex):
             return NotImplemented
         return (
@@ -120,35 +124,66 @@ def validate_complex(C: ChainComplex) -> List[str]:
     return report
 
 
-class ChainMap:
-    """Degreewise map f_k: A_k -> B_k between two complexes."""
+class _Graded:
+    """Degreewise matrices comps[k]: A_k -> B_{k + deg} between two complexes.
+
+    The shared body of ChainMap (deg 0) and ChainHomotopy (deg +1).  Every
+    component of a non-empty shape is stored, zero ones included.
+    """
 
     __slots__ = ("source", "target", "comps")
+    _deg = 0
+    _what = "chain map component"
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  comps: Optional[Dict[int, Matrix]] = None):
         self.source = source
         self.target = target
+        deg = self._deg
         full: Dict[int, Matrix] = {}
         comps = comps or {}
-        for k in range(min(source.lo, target.lo), max(source.hi, target.hi) + 1):
+        s_lo, s_hi, s_dims = source.lo, source.hi, source.dims
+        t_lo, t_hi, t_dims = target.lo - deg, target.hi - deg, target.dims
+        for k in range(min(s_lo, t_lo), max(s_hi, t_hi) + 1):
+            rows = t_dims[k - t_lo] if t_lo <= k <= t_hi else 0
+            cols = s_dims[k - s_lo] if s_lo <= k <= s_hi else 0
             m = comps.get(k)
             if m is None:
-                m = Matrix.zeros(target.dim(k), source.dim(k))
-            if (m.rows, m.cols) != (target.dim(k), source.dim(k)):
+                m = Matrix.zeros(rows, cols)
+            elif (m.rows, m.cols) != (rows, cols):
                 raise DimensionError(
-                    f"chain map component at degree {k} has shape {m.rows}x{m.cols}, "
-                    f"expected {target.dim(k)}x{source.dim(k)}"
+                    f"{self._what} at degree {k} has shape {m.rows}x{m.cols}, "
+                    f"expected {rows}x{cols}"
                 )
-            if m.rows and m.cols:
+            if rows and cols:
                 full[k] = m
         self.comps = full
 
-    def f(self, k: int) -> Matrix:
+    def _comp(self, k: int) -> Matrix:
         m = self.comps.get(k)
         if m is None:
-            return Matrix.zeros(self.target.dim(k), self.source.dim(k))
+            return Matrix.zeros(self.target.dim(k + self._deg), self.source.dim(k))
         return m
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.source != other.source or self.target != other.target:
+            return False
+        keys = set(self.comps) | set(other.comps)
+        return all(self._comp(k) == other._comp(k) for k in keys)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
+
+
+class ChainMap(_Graded):
+    """Degreewise map f_k: A_k -> B_k between two complexes."""
+
+    __slots__ = ()
+    f = _Graded._comp
 
     def validate(self) -> List[str]:
         report = []
@@ -166,9 +201,8 @@ class ChainMap:
         """self . other, requiring other.target == self.source."""
         if other.target != self.source:
             raise DimensionError("chain map composition: middle complexes differ")
-        lo = min(other.source.lo, self.target.lo)
-        hi = max(other.source.hi, self.target.hi)
-        comps = {k: self.f(k) * other.f(k) for k in range(lo, hi + 1)}
+        # a degree where either factor has an empty shape gets a zero component
+        comps = {k: self.comps[k] * other.comps[k] for k in self.comps.keys() & other.comps.keys()}
         return ChainMap(other.source, self.target, comps)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
@@ -188,19 +222,8 @@ class ChainMap:
     def __neg__(self) -> "ChainMap":
         return ChainMap(self.source, self.target, {k: -m for k, m in self.comps.items()})
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChainMap):
-            return NotImplemented
-        if self.source != other.source or self.target != other.target:
-            return False
-        keys = set(self.comps) | set(other.comps)
-        return all(self.f(k) == other.f(k) for k in keys)
-
     def __hash__(self):
         return hash((self.source, self.target, tuple(sorted(self.comps))))
-
-    def __repr__(self):
-        return f"ChainMap({self.source!r} -> {self.target!r})"
 
 
 def identity_map(C: ChainComplex) -> ChainMap:
@@ -211,49 +234,14 @@ def zero_map(A: ChainComplex, B: ChainComplex) -> ChainMap:
     return ChainMap(A, B, {})
 
 
-class ChainHomotopy:
+class ChainHomotopy(_Graded):
     """Degree +1 data h_k: A_k -> B_{k+1}; the pair it compares is supplied
     at check time (see check_homotopy)."""
 
-    __slots__ = ("source", "target", "comps")
-
-    def __init__(self, source: ChainComplex, target: ChainComplex,
-                 comps: Optional[Dict[int, Matrix]] = None):
-        self.source = source
-        self.target = target
-        full: Dict[int, Matrix] = {}
-        comps = comps or {}
-        lo = min(source.lo, target.lo - 1)
-        hi = max(source.hi, target.hi - 1)
-        for k in range(lo, hi + 1):
-            m = comps.get(k)
-            if m is None:
-                m = Matrix.zeros(target.dim(k + 1), source.dim(k))
-            if (m.rows, m.cols) != (target.dim(k + 1), source.dim(k)):
-                raise DimensionError(
-                    f"homotopy component at degree {k} has shape {m.rows}x{m.cols}, "
-                    f"expected {target.dim(k + 1)}x{source.dim(k)}"
-                )
-            if m.rows and m.cols:
-                full[k] = m
-        self.comps = full
-
-    def h(self, k: int) -> Matrix:
-        m = self.comps.get(k)
-        if m is None:
-            return Matrix.zeros(self.target.dim(k + 1), self.source.dim(k))
-        return m
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChainHomotopy):
-            return NotImplemented
-        if self.source != other.source or self.target != other.target:
-            return False
-        keys = set(self.comps) | set(other.comps)
-        return all(self.h(k) == other.h(k) for k in keys)
-
-    def __repr__(self):
-        return f"ChainHomotopy({self.source!r} -> {self.target!r})"
+    __slots__ = ()
+    _deg = 1
+    _what = "homotopy component"
+    h = _Graded._comp
 
 
 def check_homotopy(f: ChainMap, g: ChainMap, h: ChainHomotopy) -> bool:
@@ -287,7 +275,7 @@ def is_acyclic(C: ChainComplex) -> bool:
 
 
 def euler_characteristic(C: ChainComplex) -> int:
-    return sum((-1) ** k * C.dim(k) for k in C.degrees())
+    return sum(-C.dim(k) if k % 2 else C.dim(k) for k in C.degrees())
 
 
 def shift(C: ChainComplex, m: int) -> ChainComplex:
@@ -317,6 +305,18 @@ def cone(f: ChainMap) -> Cone:
     The A[1]-part comes first in the direct sum ordering.
     """
     A, B = f.source, f.target
+    cx = cone_complex(f)
+    from_target = ChainMap(B, cx, {k: inclusion(cx.dim(k), A.dim(k - 1), B.dim(k))
+                                   for k in B.degrees()})
+    sh = shift(A, 1)
+    to_shifted_source = ChainMap(cx, sh, {k: projection(cx.dim(k), 0, A.dim(k - 1))
+                                          for k in sh.degrees()})
+    return Cone(cx, from_target, to_shifted_source)
+
+
+def cone_complex(f: ChainMap) -> ChainComplex:
+    """The complex of cone(f), without its structure maps."""
+    A, B = f.source, f.target
     lo = min(A.lo + 1, B.lo)
     hi = max(A.hi + 1, B.hi)
     dims = tuple(A.dim(k - 1) + B.dim(k) for k in range(lo, hi + 1))
@@ -325,24 +325,12 @@ def cone(f: ChainMap) -> Cone:
         a0, a1 = A.dim(k - 2), A.dim(k - 1)
         diffs[k] = Matrix.from_blocks(a0 + B.dim(k - 1), a1 + B.dim(k), [
             (0, 0, -A.d(k - 1)), (a0, 0, -f.f(k - 1)), (a0, a1, B.d(k))])
-    cx = ChainComplex(lo, hi, dims, diffs)
-    inc = {}
-    for k in B.degrees():
-        inc[k] = Matrix.from_blocks(A.dim(k - 1) + B.dim(k), B.dim(k),
-                                    [(A.dim(k - 1), 0, Matrix.identity(B.dim(k)))])
-    from_target = ChainMap(B, cx, inc)
-    sh = shift(A, 1)
-    proj = {}
-    for k in sh.degrees():
-        proj[k] = Matrix.from_blocks(A.dim(k - 1), A.dim(k - 1) + B.dim(k),
-                                     [(0, 0, Matrix.identity(A.dim(k - 1)))])
-    to_shifted_source = ChainMap(cx, sh, proj)
-    return Cone(cx, from_target, to_shifted_source)
+    return ChainComplex(lo, hi, dims, diffs)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
     """Quasi-isomorphism test: the cone is acyclic."""
-    return is_acyclic(cone(f).complex)
+    return is_acyclic(cone_complex(f))
 
 
 def direct_sum(A: ChainComplex, B: ChainComplex) -> ChainComplex:
@@ -359,69 +347,122 @@ def direct_sum(A: ChainComplex, B: ChainComplex) -> ChainComplex:
 
 def sum_inclusions(A: ChainComplex, B: ChainComplex) -> Tuple[ChainMap, ChainMap]:
     S = direct_sum(A, B)
-    ia = {k: Matrix.from_blocks(S.dim(k), A.dim(k), [(0, 0, Matrix.identity(A.dim(k)))])
-          for k in A.degrees()}
-    ib = {k: Matrix.from_blocks(S.dim(k), B.dim(k), [(A.dim(k), 0, Matrix.identity(B.dim(k)))])
-          for k in B.degrees()}
+    ia = {k: inclusion(S.dim(k), 0, A.dim(k)) for k in A.degrees()}
+    ib = {k: inclusion(S.dim(k), A.dim(k), B.dim(k)) for k in B.degrees()}
     return ChainMap(A, S, ia), ChainMap(B, S, ib)
+
+
+def inclusion(n: int, at: int, size: int) -> Matrix:
+    """n x size partial identity: column j is the basis vector e_{at + j}."""
+    return Matrix.monomial(n, range(at, at + size))
+
+
+def projection(n: int, at: int, size: int) -> Matrix:
+    """size x n partial identity: keeps the coordinates at, ..., at + size - 1."""
+    return Matrix.monomial(size, [-1] * at + list(range(size)) + [-1] * (n - at - size))
 
 
 # -- tensor product -----------------------------------------------------------
 
-def _tensor_summands(A: ChainComplex, B: ChainComplex, n: int) -> List[Tuple[int, int]]:
-    """Blocks (i, n - i) of (A (x) B)_n, i ascending, zero blocks included."""
-    out = []
-    for i in range(A.lo, A.hi + 1):
-        j = n - i
-        if B.lo <= j <= B.hi:
-            out.append((i, j))
-    return out
-
-
-def tensor_offsets(A: ChainComplex, B: ChainComplex, n: int) -> Dict[Tuple[int, int], int]:
-    """Starting index of each (i, j) block inside (A (x) B)_n."""
+def tensor_blocks(A: ChainComplex, B: ChainComplex, n: int) -> Tuple[Dict[int, int], int]:
+    """Starting index of each block A_i (x) B_{n-i} of (A (x) B)_n, keyed by
+    i (ascending, zero blocks included), and the dimension of (A (x) B)_n."""
+    a_lo, a_dims, b_lo, b_dims = A.lo, A.dims, B.lo, B.dims
     off = {}
     pos = 0
-    for (i, j) in _tensor_summands(A, B, n):
-        off[(i, j)] = pos
-        pos += A.dim(i) * B.dim(j)
-    return off
+    for i in range(max(a_lo, n - B.hi), min(A.hi, n - b_lo) + 1):
+        off[i] = pos
+        pos += a_dims[i - a_lo] * b_dims[n - i - b_lo]
+    return off, pos
 
 
 def tensor(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     lo = A.lo + B.lo
     hi = A.hi + B.hi
-    dims = []
-    for n in range(lo, hi + 1):
-        dims.append(sum(A.dim(i) * B.dim(j) for (i, j) in _tensor_summands(A, B, n)))
+    offs = [tensor_blocks(A, B, n) for n in range(lo, hi + 1)]
+    dims = tuple(total for _, total in offs)
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        src_off = tensor_offsets(A, B, n)
-        tgt_off = tensor_offsets(A, B, n - 1)
-        blocks = []
-        for (i, j), c0 in src_off.items():
-            if (i - 1, j) in tgt_off:
-                blocks.append((tgt_off[(i - 1, j)], c0,
-                               A.d(i).kron(Matrix.identity(B.dim(j)))))
-            if (i, j - 1) in tgt_off:
-                blk = Matrix.identity(A.dim(i)).kron(B.d(j))
-                blocks.append((tgt_off[(i, j - 1)], c0, -blk if i % 2 else blk))
-        diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
-    return ChainComplex(lo, hi, tuple(dims), diffs)
+        rows, cols = dims[n - 1 - lo], dims[n - lo]
+        if not rows * cols:
+            continue
+        tgt_off = offs[n - 1 - lo][0]
+        # d(a (x) b) = da (x) b + (-1)^i a (x) db, one (row, col, d, width, sign)
+        # per block term: sign 0 for da (x) 1_width, +-1 for +-1_width (x) db
+        terms = []
+        for i, c0 in offs[n - lo][0].items():
+            j = n - i
+            a, b = A.dim(i), B.dim(j)
+            if a * b and A.dim(i - 1):
+                terms.append((tgt_off[i - 1], c0, A.diffs[i], b, 0))
+            if a * b and B.dim(j - 1):
+                terms.append((tgt_off[i], c0, B.diffs[j], a, -1 if i % 2 else 1))
+        d = lcm(*[m._d for _, _, m, _, _ in terms])
+        ent = [0] * (rows * cols)
+        for r0, c0, m, w, sign in terms:
+            e, mr, mc, s = m._e, m.rows, m.cols, d // m._d
+            if not sign:
+                # da (x) 1_w: entry (p, q) of da runs down the diagonal from (p*w, q*w)
+                for p in range(mr):
+                    for q in range(mc):
+                        if e[p * mc + q]:
+                            at = (r0 + p * w) * cols + c0 + q * w
+                            ent[at:at + w * (cols + 1):cols + 1] = [e[p * mc + q] * s] * w
+            else:
+                # +-1_w (x) db: row r of db lands in row p*mr + r from column p*mc
+                s *= sign
+                for p in range(w):
+                    for r in range(mr):
+                        at = (r0 + p * mr + r) * cols + c0 + p * mc
+                        ent[at:at + mc] = [x * s for x in e[r * mc:(r + 1) * mc]]
+        diffs[n] = Matrix._of(rows, cols, ent, d)
+    return ChainComplex(lo, hi, dims, diffs)
 
 
-def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
-    """f (x) g for chain maps (degree 0, so no Koszul signs)."""
-    src = tensor(f.source, g.source)
-    tgt = tensor(f.target, g.target)
+class TensorMemo:
+    """Tensor products of complexes, each built once per pair of operands.
+
+    Operands are keyed on object identity, which is sound only while they
+    are alive and unchanged, so the memo holds a reference to each.  Make
+    one per computation, pass it along explicitly, and let it go with the
+    computation; nothing is memoised at module level.  Block offsets
+    (`tensor_blocks`) are not memoised: they cost a pass over one degree's
+    window, and holding them doubled the peak memory of a lax composition.
+    """
+
+    __slots__ = ("_tensors",)
+
+    def __init__(self):
+        self._tensors = {}
+
+    def tensor(self, A: ChainComplex, B: ChainComplex) -> ChainComplex:
+        key = (id(A), id(B))
+        hit = self._tensors.get(key)
+        if hit is None:
+            hit = self._tensors[key] = (A, B, tensor(A, B))
+        return hit[2]
+
+
+def tensor_map_comps(f: ChainMap, g: ChainMap) -> Dict[int, Matrix]:
+    """Components of f (x) g by degree, without building its source and
+    target complexes."""
+    A, B, C, D = f.source, g.source, f.target, g.target
     comps = {}
-    for n in range(src.lo, src.hi + 1):
-        tgt_off = tensor_offsets(f.target, g.target, n)
-        blocks = [(tgt_off[(i, j)], c0, f.f(i).kron(g.f(j)))
-                  for (i, j), c0 in tensor_offsets(f.source, g.source, n).items()
-                  if (i, j) in tgt_off]
-        comps[n] = Matrix.from_blocks(tgt.dim(n), src.dim(n), blocks)
-    return ChainMap(src, tgt, comps)
+    for n in range(A.lo + B.lo, A.hi + B.hi + 1):
+        src_off, cols = tensor_blocks(A, B, n)
+        tgt_off, rows = tensor_blocks(C, D, n)
+        comps[n] = Matrix.from_blocks(rows, cols, [
+            (tgt_off[i], c0, f.comps[i].kron(g.comps[n - i]))
+            for i, c0 in src_off.items()
+            if i in tgt_off and i in f.comps and n - i in g.comps])
+    return comps
+
+
+def tensor_map(f: ChainMap, g: ChainMap, memo: Optional[TensorMemo] = None) -> ChainMap:
+    """f (x) g for chain maps (degree 0, so no Koszul signs)."""
+    memo = TensorMemo() if memo is None else memo
+    return ChainMap(memo.tensor(f.source, g.source), memo.tensor(f.target, g.target),
+                    tensor_map_comps(f, g))
 
 
 # -- mapping complex ----------------------------------------------------------

@@ -8,7 +8,9 @@ A matrix is stored as FLINT's `fmpq_mat` stores it: a row-major tuple of
 int numerators over one positive common denominator, kept canonical
 (gcd of the denominator and all numerators is 1, so integer matrices have
 denominator 1).  Products, sums, Kronecker products and block placement
-run on those ints.  Eliminations are fraction-free: `rank` is Bareiss
+run on those ints.  Signed partial permutations (inclusions, projections,
+re-bracketings) are built from their index data by `Matrix.monomial`, and
+a product with one is a column gather, `Matrix.permute`.  Eliminations are fraction-free: `rank` is Bareiss
 elimination, and `rref`, `kernel_basis`, `solve` and `invert` share one
 fraction-free Gauss-Jordan on the numerators (every pivot ends equal to
 the same minor D, and the reduced form is the result divided by D).
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -173,6 +175,25 @@ class Matrix:
         return cls._of(n, n, e)
 
     @classmethod
+    def monomial(cls, rows: int, cols: Sequence[int],
+                 signs: Optional[Sequence[int]] = None) -> "Matrix":
+        """The signed partial permutation P, rows x len(cols), with
+        P e_j = signs[j] e_{cols[j]}, or column j zero where cols[j] is -1.
+
+        Signs are +-1 and default to all +1.  Structural maps (inclusions,
+        projections, re-bracketings) are built this way from their index
+        data, and composed with by `permute`.
+        """
+        n = len(cols)
+        if cols and not (-1 <= min(cols) and max(cols) < rows):
+            raise DimensionError(f"row index out of range for {rows} rows")
+        e = [0] * (rows * n)
+        for j, i in enumerate(cols):
+            if i >= 0:
+                e[i * n + j] = 1 if signs is None else signs[j]
+        return cls._of(rows, n, e)
+
+    @classmethod
     def column(cls, entries: Sequence[Scalar]) -> "Matrix":
         return cls(len(entries), 1, entries)
 
@@ -284,6 +305,23 @@ class Matrix:
                     acc = list(map(add, acc, map(aik.__mul__, brow)))
             out.extend(zero if acc is None else acc)
         return Matrix._of(n, p, out, self._d * other._d)
+
+    def permute(self, cols: Sequence[int], signs: Optional[Sequence[int]] = None) -> "Matrix":
+        """Columns gathered by index: column j is signs[j] times column
+        cols[j] of self, or zero where cols[j] is -1.
+
+        This is self * Matrix.monomial(self.cols, cols, signs), computed
+        without forming the monomial factor.
+        """
+        c = self.cols
+        if cols and not (-1 <= min(cols) and max(cols) < c):
+            raise DimensionError(f"column index out of range for {self.rows}x{c}")
+        e = self._e
+        out = []
+        for i in range(self.rows):
+            pick = (e[i * c:(i + 1) * c] + (0,)).__getitem__
+            out.extend(map(pick, cols) if signs is None else map(mul, map(pick, cols), signs))
+        return Matrix._of(self.rows, len(cols), out, self._d)
 
     def transpose(self) -> "Matrix":
         e, c = self._e, self.cols

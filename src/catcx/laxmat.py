@@ -19,21 +19,29 @@ realized as the mapping cone of (p, -q), with the composed structure maps
 induced by maps of spans.  Tensoring a cone by a complex is only
 isomorphic, not equal, to the cone of the tensored span, so the two
 interchange isomorphisms (a sign (-1)^i on the shifted-apex summands for
-the left one, a plain permutation for the right one) are built explicitly.
+the left one, a plain permutation for the right one) are explicit.  All
+multi-factor tensors are left-associated; re-bracketing goes through the
+explicit associator, a signless basis permutation.
 
-All multi-factor tensors are left-associated; re-bracketing goes through
-the explicit associator, a signless basis permutation.
+The associator, its inverse and the interchanges are index maps
+{degree: (cols, signs)}: source basis vector j goes to signs[j] times
+target basis vector cols[j] (signs None when all +1).  Composing with one
+gathers columns (`Matrix.permute`); only the public functions build them
+densely.  A composition builds each tensor product once, in a `TensorMemo`
+that lives for that call only, and never builds the tensored spans or
+their pushouts, whose dimensions are all the interchange needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
-from .chain import (ChainComplex, ChainMap, cone, direct_sum, euler_characteristic,
-                    identity_map, shift, tensor, tensor_map, tensor_offsets,
-                    unit_complex, validate_complex, zero_complex)
+from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_complex, direct_sum,
+                    euler_characteristic, identity_map, inclusion, projection, shift,
+                    tensor, tensor_blocks, tensor_map, tensor_map_comps, unit_complex,
+                    validate_complex, zero_complex)
 
 
 # -- finite posets and the K_0 shadow ----------------------------------------
@@ -96,17 +104,14 @@ class IntMatrix:
         ):
             raise DimensionError("IntMatrix shape does not match labels")
 
+    def _matrix(self) -> Matrix:
+        return Matrix(len(self.row_labels), len(self.col_labels),
+                      [x for row in self.entries for x in row])
+
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.col_labels != other.row_labels:
             raise DimensionError("IntMatrix label mismatch in product")
-        out = []
-        for i in range(len(self.row_labels)):
-            row = []
-            for j in range(len(other.col_labels)):
-                row.append(sum(self.entries[i][k] * other.entries[k][j]
-                               for k in range(len(self.col_labels))))
-            out.append(row)
-        return IntMatrix(self.row_labels, other.col_labels, out)
+        return _int_matrix(self.row_labels, other.col_labels, self._matrix() * other._matrix())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
@@ -119,6 +124,12 @@ class IntMatrix:
         return f"IntMatrix({self.row_labels}x{self.col_labels}: {self.entries})"
 
 
+def _int_matrix(row_labels: Sequence[str], col_labels: Sequence[str], m: Matrix) -> IntMatrix:
+    """An integer `Matrix` (denominator 1) with labels."""
+    c = m.cols
+    return IntMatrix(row_labels, col_labels, [m._e[i * c:(i + 1) * c] for i in range(m.rows)])
+
+
 def zeta(P: FinPoset) -> IntMatrix:
     """zeta[t][s] = 1 when s <= t in the poset."""
     n = P.size()
@@ -129,16 +140,12 @@ def zeta(P: FinPoset) -> IntMatrix:
 def mobius(P: FinPoset) -> IntMatrix:
     """Integer inverse of zeta; exists since zeta is unitriangular in any
     linear extension."""
-    z = zeta(P)
-    n = P.size()
-    m = Matrix(n, n, [x for row in z.entries for x in row])
-    inv = m.invert()
+    inv = zeta(P)._matrix().invert()
     if inv is None:
         raise DimensionError("zeta matrix is singular; input is not a poset")
     if inv._d != 1:
         raise DimensionError("Moebius matrix is not integral")
-    ent = [list(inv._e[i * n:(i + 1) * n]) for i in range(n)]
-    return IntMatrix(P.labels, P.labels, ent)
+    return _int_matrix(P.labels, P.labels, inv)
 
 
 def k0_compose(N: IntMatrix, M: IntMatrix, middle: FinPoset) -> IntMatrix:
@@ -176,21 +183,12 @@ class Pushout:
 
 def hpushout(span: Span) -> Pushout:
     """cone((p, -q): apex -> B (+) C) with the canonical inclusions."""
-    A = span.apex
-    B = span.left.target
-    C = span.right.target
+    A, B, C = span.apex, span.left.target, span.right.target
     D = direct_sum(B, C)
-    comps = {}
-    for k in range(min(A.lo, D.lo), max(A.hi, D.hi) + 1):
-        comps[k] = span.left.f(k).vstack(-span.right.f(k))
-    c = cone(ChainMap(A, D, comps))
-    P = c.complex
-    fl = {}
-    fr = {}
-    for k in P.degrees():
-        da, db, dc = A.dim(k - 1), B.dim(k), C.dim(k)
-        fl[k] = Matrix.from_blocks(da + db + dc, db, [(da, 0, Matrix.identity(db))])
-        fr[k] = Matrix.from_blocks(da + db + dc, dc, [(da + db, 0, Matrix.identity(dc))])
+    P = cone_complex(ChainMap(A, D, {k: span.left.f(k).vstack(-span.right.f(k))
+                                     for k in range(min(A.lo, D.lo), max(A.hi, D.hi) + 1)}))
+    fl = {k: inclusion(P.dim(k), A.dim(k - 1), B.dim(k)) for k in B.degrees()}
+    fr = {k: inclusion(P.dim(k), A.dim(k - 1) + B.dim(k), C.dim(k)) for k in C.degrees()}
     return Pushout(span, P, ChainMap(B, P, fl), ChainMap(C, P, fr))
 
 
@@ -214,147 +212,130 @@ def induced_pushout_map(src: Pushout, tgt: Pushout, on_apex: ChainMap,
 
 # -- associator and tensor/cone interchange -----------------------------------
 
+# degree -> (cols, signs): see the module docstring
+IndexMap = Dict[int, Tuple[List[int], Optional[List[int]]]]
+
+
+def _dense(S: ChainComplex, T: ChainComplex, perm: IndexMap) -> ChainMap:
+    return ChainMap(S, T, {n: Matrix.monomial(T.dim(n), *p) for n, p in perm.items()})
+
+
+def _gather(f: ChainMap, g: ChainMap, perm: IndexMap) -> Dict[int, Matrix]:
+    """Components of (f (x) g) . P for the index map P; f (x) g's complexes are not built."""
+    comps = tensor_map_comps(f, g)
+    return {n: comps[n].permute(*p) for n, p in perm.items()}
+
+
+def _assoc_perm(X: ChainComplex, Y: ChainComplex, Z: ChainComplex, memo: TensorMemo,
+                inverse: bool = False) -> IndexMap:
+    """The associator's index map, or its inverse's."""
+    XY, YZ = memo.tensor(X, Y), memo.tensor(Y, Z)
+    xy = {m: tensor_blocks(X, Y, m)[0] for m in XY.degrees()}
+    yz = {m: tensor_blocks(Y, Z, m)[0] for m in YZ.degrees()}
+    perm = {}
+    for n in range(X.lo + Y.lo + Z.lo, X.hi + Y.hi + Z.hi + 1):
+        s_off, size = tensor_blocks(XY, Z, n)
+        t_off = tensor_blocks(X, YZ, n)[0]
+        cols = [0] * size
+        for i in X.degrees():
+            for j in Y.degrees():
+                k = n - i - j
+                dx, dy, dz = X.dim(i), Y.dim(j), Z.dim(k)
+                if not dx * dy * dz:
+                    continue
+                # x (x) (y (x) z) for fixed x is one run of dy * dz indices on both sides
+                run = dy * dz
+                s0 = s_off[i + j] + xy[i + j][i] * dz
+                t0 = t_off[i] + yz[j + k][j]
+                for xi in range(dx):
+                    s, t = s0 + xi * run, t0 + xi * YZ.dim(j + k)
+                    at, to = (t, s) if inverse else (s, t)
+                    cols[at:at + run] = range(to, to + run)
+        perm[n] = (cols, None)
+    return perm
+
+
 def assoc(X: ChainComplex, Y: ChainComplex, Z: ChainComplex) -> ChainMap:
     """(X (x) Y) (x) Z -> X (x) (Y (x) Z), a signless basis permutation."""
-    XY = tensor(X, Y)
-    YZ = tensor(Y, Z)
-    S = tensor(XY, Z)
-    T = tensor(X, YZ)
-    comps = {}
-    for n in range(S.lo, S.hi + 1):
-        rows, cols = T.dim(n), S.dim(n)
-        ent = [0] * (rows * cols)
-        s_off = tensor_offsets(XY, Z, n)
-        t_off = tensor_offsets(X, YZ, n)
-        for i in range(X.lo, X.hi + 1):
-            for j in range(Y.lo, Y.hi + 1):
-                k = n - i - j
-                if not (Z.lo <= k <= Z.hi):
-                    continue
-                dx, dy, dz = X.dim(i), Y.dim(j), Z.dim(k)
-                if dx * dy * dz == 0:
-                    continue
-                xy_off = tensor_offsets(X, Y, i + j)[(i, j)]
-                yz_off = tensor_offsets(Y, Z, j + k)[(j, k)]
-                s_base = s_off[(i + j, k)]
-                t_base = t_off[(i, j + k)]
-                dyz = YZ.dim(j + k)
-                for xi in range(dx):
-                    for eta in range(dy):
-                        for gam in range(dz):
-                            src = s_base + (xy_off + xi * dy + eta) * dz + gam
-                            tgt = t_base + xi * dyz + yz_off + eta * dz + gam
-                            ent[tgt * cols + src] = 1
-        comps[n] = Matrix._of(rows, cols, ent)
-    return ChainMap(S, T, comps)
+    memo = TensorMemo()
+    return _dense(memo.tensor(memo.tensor(X, Y), Z), memo.tensor(X, memo.tensor(Y, Z)),
+                  _assoc_perm(X, Y, Z, memo))
 
 
 def assoc_inv(X: ChainComplex, Y: ChainComplex, Z: ChainComplex) -> ChainMap:
-    a = assoc(X, Y, Z)
-    return ChainMap(a.target, a.source,
-                    {k: a.f(k).transpose() for k in a.source.degrees()})
+    memo = TensorMemo()
+    return _dense(memo.tensor(X, memo.tensor(Y, Z)), memo.tensor(memo.tensor(X, Y), Z),
+                  _assoc_perm(X, Y, Z, memo, inverse=True))
 
 
-def tensor_span_left(K: ChainComplex, span: Span) -> Span:
-    return Span(tensor_map(identity_map(K), span.left),
-                tensor_map(identity_map(K), span.right))
+def _pair(side: str):
+    if side == "left":
+        return lambda k, x: (k, x)
+    if side == "right":
+        return lambda k, x: (x, k)
+    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
-def tensor_span_right(span: Span, K: ChainComplex) -> Span:
-    return Span(tensor_map(span.left, identity_map(K)),
-                tensor_map(span.right, identity_map(K)))
+def _interchange(push: Pushout, K: ChainComplex, side: str,
+                 memo: TensorMemo) -> Tuple[ChainComplex, IndexMap]:
+    """K (x) hpushout(S) and the index map of its iso to hpushout(K (x) S)
+    (side "left"; side "right" tensors K on the right).  Only dimensions
+    are needed, so the tensored span and its pushout are not built."""
+    pair = _pair(side)
+    left = side == "left"
+    span = push.span
+    S = memo.tensor(*pair(K, push.cx))
+    parts = ((span.apex, 1), (span.left.target, 0), (span.right.target, 0))
+    perm = {}
+    for n in range(S.lo, S.hi + 1):
+        # hpushout(K (x) S)_n = (K (x) A)_{n-1} (+) (K (x) B)_n (+) (K (x) C)_n
+        targets = []
+        pos = 0
+        for X, lag in parts:
+            off, size = tensor_blocks(*pair(K, X), n - lag)
+            targets.append((X, lag, pos, off))
+            pos += size
+        s_off, size = tensor_blocks(*pair(K, push.cx), n)
+        cols, signs = [0] * size, [1] * size
+        for first, base in s_off.items():
+            i, j = (first, n - first) if left else (n - first, first)
+            dk, dp = K.dim(i), push.cx.dim(j)
+            start = 0  # where the current summand starts inside P_j
+            for X, lag, pos, off in targets:
+                dx = X.dim(j - lag)
+                if dk and dx:
+                    t0 = pos + off[i if left else j - lag]
+                    # a run of dx indices per basis vector of K_i, or one run of dk * dx
+                    runs = ([(base + kap * dp + start, t0 + kap * dx, dx) for kap in range(dk)]
+                            if left else [(base + start * dk, t0, dx * dk)])
+                    for s, t, ln in runs:
+                        cols[s:s + ln] = range(t, t + ln)
+                        if left and lag and i % 2:
+                            # the Koszul sign of K_i passing the shifted apex
+                            signs[s:s + ln] = [-1] * ln
+                start += dx
+        perm[n] = (cols, signs if -1 in signs else None)
+    return S, perm
+
+
+def tensor_cone(push: Pushout, K: ChainComplex, side: str) -> Tuple[Pushout, ChainMap]:
+    """Iso K (x) hpushout(S) -> hpushout(K (x) S) for side "left", with the
+    sign (-1)^i on the K_i (x) shifted-apex summands; for side "right" the
+    permutation hpushout(S) (x) K -> hpushout(S (x) K)."""
+    memo = TensorMemo()
+    pair, idk = _pair(side), identity_map(K)
+    tpush = hpushout(Span(tensor_map(*pair(idk, push.span.left), memo),
+                          tensor_map(*pair(idk, push.span.right), memo)))
+    S, perm = _interchange(push, K, side, memo)
+    return tpush, _dense(S, tpush.cx, perm)
 
 
 def tensor_cone_left(K: ChainComplex, push: Pushout) -> Tuple[Pushout, ChainMap]:
-    """Iso K (x) hpushout(S) -> hpushout(K (x) S).
-
-    Carries the sign (-1)^i on the K_i (x) shifted-apex summands; identity
-    on the other blocks up to reordering.
-    """
-    span = push.span
-    A = span.apex
-    B = span.left.target
-    C = span.right.target
-    tspan = tensor_span_left(K, span)
-    tpush = hpushout(tspan)
-    S = tensor(K, push.cx)
-    T = tpush.cx
-    KA = tspan.apex
-    KB = tspan.left.target
-    comps = {}
-    for n in range(S.lo, S.hi + 1):
-        rows, cols = T.dim(n), S.dim(n)
-        ent = [0] * (rows * cols)
-        s_off = tensor_offsets(K, push.cx, n)
-        ka_off = tensor_offsets(K, A, n - 1)
-        kb_off = tensor_offsets(K, B, n)
-        kc_off = tensor_offsets(K, C, n)
-        t_off_b = KA.dim(n - 1)
-        t_off_c = t_off_b + KB.dim(n)
-        for (i, j), base in s_off.items():
-            dk = K.dim(i)
-            da, db, dc = A.dim(j - 1), B.dim(j), C.dim(j)
-            dp = push.cx.dim(j)
-            sgn = -1 if i % 2 else 1
-            for kap in range(dk):
-                for al in range(da):
-                    src = base + kap * dp + al
-                    tgt = ka_off[(i, j - 1)] + kap * da + al
-                    ent[tgt * cols + src] = sgn
-                for be in range(db):
-                    src = base + kap * dp + da + be
-                    tgt = t_off_b + kb_off[(i, j)] + kap * db + be
-                    ent[tgt * cols + src] = 1
-                for ga in range(dc):
-                    src = base + kap * dp + da + db + ga
-                    tgt = t_off_c + kc_off[(i, j)] + kap * dc + ga
-                    ent[tgt * cols + src] = 1
-        comps[n] = Matrix._of(rows, cols, ent)
-    return tpush, ChainMap(S, T, comps)
+    return tensor_cone(push, K, "left")
 
 
 def tensor_cone_right(push: Pushout, K: ChainComplex) -> Tuple[Pushout, ChainMap]:
-    """Iso hpushout(S) (x) K -> hpushout(S (x) K); a plain permutation."""
-    span = push.span
-    A = span.apex
-    B = span.left.target
-    C = span.right.target
-    tspan = tensor_span_right(span, K)
-    tpush = hpushout(tspan)
-    S = tensor(push.cx, K)
-    T = tpush.cx
-    AK = tspan.apex
-    BK = tspan.left.target
-    comps = {}
-    for n in range(S.lo, S.hi + 1):
-        rows, cols = T.dim(n), S.dim(n)
-        ent = [0] * (rows * cols)
-        s_off = tensor_offsets(push.cx, K, n)
-        ak_off = tensor_offsets(A, K, n - 1)
-        bk_off = tensor_offsets(B, K, n)
-        ck_off = tensor_offsets(C, K, n)
-        t_off_b = AK.dim(n - 1)
-        t_off_c = t_off_b + BK.dim(n)
-        for (j, i), base in s_off.items():
-            dk = K.dim(i)
-            da, db, dc = A.dim(j - 1), B.dim(j), C.dim(j)
-            for al in range(da):
-                for kap in range(dk):
-                    src = base + al * dk + kap
-                    tgt = ak_off[(j - 1, i)] + al * dk + kap
-                    ent[tgt * cols + src] = 1
-            for be in range(db):
-                for kap in range(dk):
-                    src = base + (da + be) * dk + kap
-                    tgt = t_off_b + bk_off[(j, i)] + be * dk + kap
-                    ent[tgt * cols + src] = 1
-            for ga in range(dc):
-                for kap in range(dk):
-                    src = base + (da + db + ga) * dk + kap
-                    tgt = t_off_c + ck_off[(j, i)] + ga * dk + kap
-                    ent[tgt * cols + src] = 1
-        comps[n] = Matrix._of(rows, cols, ent)
-    return tpush, ChainMap(S, T, comps)
+    return tensor_cone(push, K, "right")
 
 
 # -- Delta^1 chain matrices ----------------------------------------------------
@@ -379,6 +360,26 @@ class Delta1ChainMatrix:
         return self.entries[(t, s)]
 
 
+def _ends(D: Delta1ChainMatrix, g_tgt: ChainComplex, g_src: ChainComplex,
+          memo: TensorMemo) -> list:
+    """(name, cell, the source it must have, the target it must have)."""
+    e = D.entry
+    return [("cell_f0", D.cell_f0, memo.tensor(g_tgt, e(0, 0)), e(1, 0)),
+            ("cell_0f", D.cell_0f, memo.tensor(e(0, 1), g_src), e(0, 0)),
+            ("cell_f1", D.cell_f1, memo.tensor(g_tgt, e(0, 1)), e(1, 1)),
+            ("cell_1f", D.cell_1f, memo.tensor(e(1, 1), g_src), e(1, 0))]
+
+
+def _square_commutes(D: Delta1ChainMatrix, g_tgt: ChainComplex, g_src: ChainComplex,
+                     memo: TensorMemo) -> bool:
+    """The structure square, compared on (g_tgt (x) E01) (x) g_src."""
+    route_b = D.cell_1f.compose(tensor_map(D.cell_f1, identity_map(g_src), memo))
+    route_a = D.cell_f0.compose(ChainMap(
+        route_b.source, memo.tensor(g_tgt, D.entry(0, 0)),
+        _gather(identity_map(g_tgt), D.cell_0f, _assoc_perm(g_tgt, D.entry(0, 1), g_src, memo))))
+    return route_a == route_b
+
+
 def validate_delta1_matrix(D: Delta1ChainMatrix) -> List[str]:
     report = []
     for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -391,113 +392,116 @@ def validate_delta1_matrix(D: Delta1ChainMatrix) -> List[str]:
         report.append(f"g_src: {msg}")
     for msg in validate_complex(D.g_tgt):
         report.append(f"g_tgt: {msg}")
-    shapes = [
-        ("cell_f0", D.cell_f0, tensor(D.g_tgt, D.entry(0, 0)), D.entry(1, 0)),
-        ("cell_0f", D.cell_0f, tensor(D.entry(0, 1), D.g_src), D.entry(0, 0)),
-        ("cell_f1", D.cell_f1, tensor(D.g_tgt, D.entry(0, 1)), D.entry(1, 1)),
-        ("cell_1f", D.cell_1f, tensor(D.entry(1, 1), D.g_src), D.entry(1, 0)),
-    ]
-    for name, m, src, tgt in shapes:
+    memo = TensorMemo()
+    for name, m, src, tgt in _ends(D, D.g_tgt, D.g_src, memo):
         if m.source != src or m.target != tgt:
             report.append(f"{name} has wrong endpoints")
             return report
         for msg in m.validate():
             report.append(f"{name}: {msg}")
-    # the commuting square, compared on (G_tgt (x) E01) (x) G_src
-    route_a = D.cell_f0.compose(
-        tensor_map(identity_map(D.g_tgt), D.cell_0f)
-    ).compose(assoc(D.g_tgt, D.entry(0, 1), D.g_src))
-    route_b = D.cell_1f.compose(tensor_map(D.cell_f1, identity_map(D.g_src)))
-    if route_a != route_b:
+    if not _square_commutes(D, D.g_tgt, D.g_src, memo):
         report.append("structure square does not commute")
     return report
 
 
 def unit_matrix(G: ChainComplex) -> Delta1ChainMatrix:
     """[[Q, 0], [G, Q]] with identity-like and zero cells."""
-    one = unit_complex()
-    zero = zero_complex()
+    one, zero = unit_complex(), zero_complex()
     e = {(0, 0): one, (0, 1): zero, (1, 0): G, (1, 1): one}
     # tensoring with the one-dimensional unit in degree 0 gives back the
-    # same complex on the nose, so two of the cells are plain identities
+    # same complex on the nose, so two of the cells are plain identities;
+    # zero (x) G and G (x) zero are the same zero complex on G's window
     ident = {k: Matrix.identity(G.dim(k)) for k in G.degrees()}
-    cell_f0 = ChainMap(tensor(G, one), G, ident)
-    cell_0f = ChainMap(tensor(zero, G), one, {})
-    cell_f1 = ChainMap(tensor(G, zero), one, {})
-    cell_1f = ChainMap(tensor(one, G), G, dict(ident))
-    return Delta1ChainMatrix(G, G, e, cell_f0, cell_0f, cell_f1, cell_1f)
+    zeros = tensor(zero, G)
+    return Delta1ChainMatrix(G, G, e, ChainMap(G, G, ident), ChainMap(zeros, one),
+                             ChainMap(zeros, one), ChainMap(G, G, dict(ident)))
 
 
-def compose_entry_span(N: Delta1ChainMatrix, M: Delta1ChainMatrix,
-                       u: int, s: int) -> Span:
+def compose_entry_span(N: Delta1ChainMatrix, M: Delta1ChainMatrix, u: int, s: int,
+                       memo: Optional[TensorMemo] = None) -> Span:
     """The twisted-arrow span whose pushout is entry (u, s) of N . M."""
     if N.g_src != M.g_tgt:
         raise DimensionError("composition needs N.g_src == M.g_tgt")
+    memo = TensorMemo() if memo is None else memo
     G = N.g_src
     n_u1 = N.entry(u, 1)
     m_0s = M.entry(0, s)
     cell_n = N.cell_0f if u == 0 else N.cell_1f       # N_u1 (x) G -> N_u0
     cell_m = M.cell_f0 if s == 0 else M.cell_f1       # G (x) M_0s -> M_1s
-    p = tensor_map(cell_n, identity_map(m_0s))
-    q = tensor_map(identity_map(n_u1), cell_m).compose(assoc(n_u1, G, m_0s))
+    if cell_n.source != memo.tensor(n_u1, G):
+        raise DimensionError("span legs must share their apex")
+    if cell_m.source != memo.tensor(G, m_0s):
+        raise DimensionError("chain map composition: middle complexes differ")
+    apex = memo.tensor(memo.tensor(n_u1, G), m_0s)
+    p = ChainMap(apex, memo.tensor(N.entry(u, 0), m_0s),
+                 tensor_map_comps(cell_n, identity_map(m_0s)))
+    q = ChainMap(apex, memo.tensor(n_u1, M.entry(1, s)),
+                 _gather(identity_map(n_u1), cell_m, _assoc_perm(n_u1, G, m_0s, memo)))
     return Span(p, q)
 
 
+def _induced_cell(src: Pushout, tgt: Pushout, K: ChainComplex, side: str,
+                  on: List[Dict[int, Matrix]], memo: TensorMemo) -> ChainMap:
+    """K (x) src.cx -> tgt.cx (src.cx (x) K for side "right"): the map of
+    pushouts induced by the span map `on` (apex, left and right components
+    by degree) out of K (x) src.span, after the tensor/cone interchange."""
+    S, omega = _interchange(src, K, side, memo)
+    targets = ((tgt.span.apex, 1), (tgt.span.left.target, 0), (tgt.span.right.target, 0))
+    comps = {}
+    for n, p in omega.items():
+        # block diagonal on hpushout(K (x) src.span)_n; no part where its source is 0
+        blocks, rows, cols = [], 0, 0
+        for (Y, lag), part in zip(targets, on):
+            m = part.get(n - lag)
+            if m is not None:
+                blocks.append((rows, cols, m))
+                cols += m.cols
+            rows += Y.dim(n - lag)
+        comps[n] = Matrix.from_blocks(rows, cols, blocks).permute(*p)
+    return ChainMap(S, tgt.cx, comps)
+
+
 def lax_compose_delta1(N: Delta1ChainMatrix, M: Delta1ChainMatrix) -> Delta1ChainMatrix:
-    """Entrywise homotopy pushout composition of Delta^1 chain matrices."""
+    """Entrywise homotopy pushout composition of Delta^1 chain matrices.
+
+    Raises DimensionError unless N.g_src == M.g_tgt, every structure cell
+    has its endpoints and both structure squares commute.
+    """
     if N.g_src != M.g_tgt:
         raise DimensionError("composition needs N.g_src == M.g_tgt")
-    G = N.g_src
-    pushes: Dict[Tuple[int, int], Pushout] = {}
-    for u in (0, 1):
-        for s in (0, 1):
-            pushes[(u, s)] = hpushout(compose_entry_span(N, M, u, s))
-    entries = {k: pushes[k].cx for k in pushes}
+    memo = TensorMemo()
+    G, H, F = N.g_src, N.g_tgt, M.g_src
+    for name, m, src, tgt in _ends(N, H, G, memo) + _ends(M, G, F, memo):
+        if m.source != src or m.target != tgt:
+            raise DimensionError(f"{name} has wrong endpoints")
+    # with both squares commuting, every induced span map below commutes
+    for D, g_tgt, g_src, side in ((N, H, G, "left"), (M, G, F, "right")):
+        if not _square_commutes(D, g_tgt, g_src, memo):
+            raise DimensionError(f"span map: {side} square does not commute")
+    pushes = {(u, s): hpushout(compose_entry_span(N, M, u, s, memo))
+              for u in (0, 1) for s in (0, 1)}
+    # psi: G_tgt (x) (N_01 (x) G) -> N_11 (x) G, shared by both vertical cells
+    x0 = memo.tensor(N.entry(0, 1), G)
+    psi = ChainMap(memo.tensor(H, x0), memo.tensor(N.entry(1, 1), G), _gather(
+        N.cell_f1, identity_map(G), _assoc_perm(H, N.entry(0, 1), G, memo, inverse=True)))
 
-    def vertical_cell(s: int) -> ChainMap:
-        # G_tgt (x) P_0s -> P_1s
-        src_push = pushes[(0, s)]
-        tgt_push = pushes[(1, s)]
-        tpush, omega = tensor_cone_left(N.g_tgt, src_push)
+    cells = {}
+    for s in (0, 1):
+        # G_tgt (x) P_0s -> P_1s, from (f (x) Z) . assoc_inv(G_tgt, Y, Z) on each part
         m_0s = M.entry(0, s)
-        m_1s = M.entry(1, s)
-        psi = tensor_map(N.cell_f1, identity_map(G)).compose(
-            assoc_inv(N.g_tgt, N.entry(0, 1), G))
-        on_apex = tensor_map(psi, identity_map(m_0s)).compose(
-            assoc_inv(N.g_tgt, tensor(N.entry(0, 1), G), m_0s))
-        on_left = tensor_map(N.cell_f0, identity_map(m_0s)).compose(
-            assoc_inv(N.g_tgt, N.entry(0, 0), m_0s))
-        on_right = tensor_map(N.cell_f1, identity_map(m_1s)).compose(
-            assoc_inv(N.g_tgt, N.entry(0, 1), m_1s))
-        induced = induced_pushout_map(tpush, tgt_push, on_apex, on_left, on_right)
-        return induced.compose(omega)
-
-    def horizontal_cell(u: int) -> ChainMap:
-        # P_u1 (x) G_src -> P_u0
-        src_push = pushes[(u, 1)]
-        tgt_push = pushes[(u, 0)]
-        tpush, omega = tensor_cone_right(src_push, M.g_src)
-        n_u0 = N.entry(u, 0)
-        n_u1 = N.entry(u, 1)
-        n_u1g = tensor(n_u1, G)
-        on_apex = tensor_map(identity_map(n_u1g), M.cell_0f).compose(
-            assoc(n_u1g, M.entry(0, 1), M.g_src))
-        on_left = tensor_map(identity_map(n_u0), M.cell_0f).compose(
-            assoc(n_u0, M.entry(0, 1), M.g_src))
-        on_right = tensor_map(identity_map(n_u1), M.cell_1f).compose(
-            assoc(n_u1, M.entry(1, 1), M.g_src))
-        induced = induced_pushout_map(tpush, tgt_push, on_apex, on_left, on_right)
-        return induced.compose(omega)
-
-    return Delta1ChainMatrix(
-        g_src=M.g_src,
-        g_tgt=N.g_tgt,
-        entries=entries,
-        cell_f0=vertical_cell(0),
-        cell_0f=horizontal_cell(0),
-        cell_f1=vertical_cell(1),
-        cell_1f=horizontal_cell(1),
-    )
+        on = [_gather(f, identity_map(Z), _assoc_perm(H, Y, Z, memo, inverse=True))
+              for f, Y, Z in ((psi, x0, m_0s), (N.cell_f0, N.entry(0, 0), m_0s),
+                              (N.cell_f1, N.entry(0, 1), M.entry(1, s)))]
+        cells[f"cell_f{s}"] = _induced_cell(pushes[(0, s)], pushes[(1, s)], H, "left", on, memo)
+    for u in (0, 1):
+        # P_u1 (x) G_src -> P_u0, from (X (x) g) . assoc(X, Y, G_src) on each part
+        on = [_gather(identity_map(X), g, _assoc_perm(X, Y, F, memo))
+              for X, Y, g in ((memo.tensor(N.entry(u, 1), G), M.entry(0, 1), M.cell_0f),
+                              (N.entry(u, 0), M.entry(0, 1), M.cell_0f),
+                              (N.entry(u, 1), M.entry(1, 1), M.cell_1f))]
+        cells[f"cell_{u}f"] = _induced_cell(pushes[(u, 1)], pushes[(u, 0)], F, "right", on, memo)
+    return Delta1ChainMatrix(M.g_src, N.g_tgt, {k: push.cx for k, push in pushes.items()},
+                             **cells)
 
 
 def k0_shadow(D: Delta1ChainMatrix) -> IntMatrix:
@@ -515,14 +519,9 @@ def cof_action(f: ChainMap) -> ChainMap:
 
 def fib(f: ChainMap) -> Tuple[ChainComplex, ChainMap]:
     """fib(f) = cone(f)[-1] together with the projection to the source."""
-    c = cone(f).complex
-    F = shift(c, -1)
+    F = shift(cone_complex(f), -1)
     A = f.source
-    proj = {}
-    for k in F.degrees():
-        da = A.dim(k)
-        db = f.target.dim(k + 1)
-        proj[k] = Matrix.from_blocks(da, da + db, [(0, 0, Matrix.identity(da))])
+    proj = {k: projection(F.dim(k), 0, A.dim(k)) for k in F.degrees()}
     return F, ChainMap(F, A, proj)
 
 
