@@ -32,7 +32,7 @@ _EXPORTS = {
                   "totalize", "unfold_cube", "validate_chain_cube",
                   "validate_multicomplex"),
     "koszul": ("AlgebraError", "FDAlgebra", "FreeKoszulComplex", "KoszulDuality",
-               "KoszulDualityError", "RMatrix", "duality_iso", "koszul",
+               "KoszulDualityError", "KoszulSpec", "RMatrix", "duality_iso", "koszul",
                "monomial_algebra", "realize", "subset_order"),
     "perverse": ("LocalStar", "PervCube", "PervDisk", "PervFlag", "SheafEncoding",
                  "amalgamate", "disk_monodromies", "encode_sheaf", "encode_sheaf_flag",
@@ -49,7 +49,7 @@ _EXPORTS = {
                 "cc2_d2", "linear_cochain", "octahedron_witness"),
     "doldkan": ("SimplicialVS", "gamma", "normalize", "surjections",
                 "validate_simplicial"),
-    "documents": ("DocumentError", "KoszulSpec", "parse_document", "serialize_document"),
+    "documents": ("DocumentError", "parse_document", "serialize_document"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

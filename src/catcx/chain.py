@@ -18,11 +18,11 @@ outermost (Kronecker order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .exactlin import DimensionError, Matrix
+from .record import Record
 
 
 class ChainComplex:
@@ -290,10 +290,10 @@ def shift_map(f: ChainMap, m: int) -> ChainMap:
                     {k + m: v for k, v in f.comps.items()})
 
 
-@dataclass
-class Cone:
+class Cone(Record):
     """Mapping cone with its two canonical structure maps."""
 
+    __slots__ = ("complex", "from_target", "to_shifted_source")
     complex: ChainComplex
     from_target: ChainMap      # B -> cone
     to_shifted_source: ChainMap  # cone -> A[1]
@@ -374,6 +374,11 @@ def tensor_blocks(A: ChainComplex, B: ChainComplex, n: int) -> Tuple[Dict[int, i
         off[i] = pos
         pos += a_dims[i - a_lo] * b_dims[n - i - b_lo]
     return off, pos
+
+
+def tensor_dims(A: ChainComplex, B: ChainComplex) -> Dict[int, int]:
+    """Dimension of (A (x) B)_n by degree n, from the dimensions alone."""
+    return {n: tensor_blocks(A, B, n)[1] for n in range(A.lo + B.lo, A.hi + B.hi + 1)}
 
 
 def tensor(A: ChainComplex, B: ChainComplex) -> ChainComplex:
@@ -481,6 +486,12 @@ def hom_offsets(A: ChainComplex, B: ChainComplex, n: int) -> Dict[int, int]:
     return off
 
 
+def hom_dims(A: ChainComplex, B: ChainComplex) -> Dict[int, int]:
+    """Dimension of Map(A, B)_n by degree n, from the dimensions alone."""
+    return {n: sum(A.dim(i) * B.dim(n + i) for i in hom_summands(A, B, n))
+            for n in range(B.lo - A.hi, B.hi - A.lo + 1)}
+
+
 def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     """Map(A,B)_n = (+)_i Hom(A_i, B_{n+i}).
 
@@ -492,9 +503,7 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     hi = B.hi - A.lo
     if hi < lo:
         return zero_complex()
-    dims = []
-    for n in range(lo, hi + 1):
-        dims.append(sum(A.dim(i) * B.dim(n + i) for i in hom_summands(A, B, n)))
+    dims = tuple(hom_dims(A, B).values())
     diffs = {}
     for n in range(lo + 1, hi + 1):
         tgt_off = hom_offsets(A, B, n - 1)
@@ -510,7 +519,7 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
                 blk = Matrix.identity(B.dim(n + i)).kron(A.d(i + 1).transpose()).scale(sign)
                 blocks.append((tgt_off[i + 1], c0, blk))
         diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
-    return ChainComplex(lo, hi, tuple(dims), diffs)
+    return ChainComplex(lo, hi, dims, diffs)
 
 
 def hom_element(A: ChainComplex, B: ChainComplex, n: int,

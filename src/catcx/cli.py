@@ -18,7 +18,8 @@ from importlib import import_module
 from typing import List, Optional
 
 from .exactlin import DimensionError, rat_str
-from .documents import DocumentError, parse_document, serialize_document, tag_of
+from .documents import (MAX_DIM_ENV, DocumentError, dim_cap, parse_document,
+                        serialize_document, tag_of)
 
 # Each handler imports the modules it runs, so a call loads only what its
 # subcommand needs (tests/test_lazy_imports.py lists what `import catcx.cli`
@@ -120,13 +121,22 @@ def _problems(obj) -> List[str]:
     raise DocumentError(f"validate does not support {tag} documents")
 
 
-def _valid(args, tag: str, *files: str) -> list:
+def _valid(args, tag: str, *files: str, dims=None) -> list:
     """The documents in args' `files`, each a valid `tag` document.
 
     All are read before any is checked, so a malformed file (exit 2) is
-    reported ahead of an invalid one (exit 1).
+    reported ahead of an invalid one (exit 1).  With `dims` given,
+    dims(*documents) is the result's dimension by degree, from the declared
+    dimensions alone; a degree past CATCX_MAX_DIM also exits 2, before
+    anything is built.
     """
     objs = [_load(getattr(args, f), args.strict, tag) for f in files]
+    if dims is not None:
+        cap = dim_cap()
+        for k, n in dims(*objs).items():
+            if n > cap:
+                raise DocumentError(f"the result has dimension {n} in degree {k}, "
+                                    f"which exceeds {MAX_DIM_ENV}={cap}")
     for obj in objs:
         _require_valid(obj, _problems(obj))
     return objs
@@ -141,8 +151,7 @@ def cmd_validate(args):
     if not problems and tag_of(obj) == "perv_disk":
         from .perverse import disk_monodromies
         t_psi, t_phi = disk_monodromies(obj)
-        extra = {"psi_monodromy": t_psi.to_str_lists(),
-                 "phi_monodromy": t_phi.to_str_lists()}
+        extra = {"psi_monodromy": t_psi, "phi_monodromy": t_phi}
     return (0 if not problems else 1), _report(obj, problems, extra)
 
 
@@ -159,13 +168,13 @@ def cmd_cone(args):
 
 
 def cmd_tensor(args):
-    from .chain import tensor
-    return 0, tensor(*_valid(args, "chain_complex", "left", "right"))
+    from .chain import tensor, tensor_dims
+    return 0, tensor(*_valid(args, "chain_complex", "left", "right", dims=tensor_dims))
 
 
 def cmd_hom_complex(args):
-    from .chain import hom_complex
-    return 0, hom_complex(*_valid(args, "chain_complex", "left", "right"))
+    from .chain import hom_complex, hom_dims
+    return 0, hom_complex(*_valid(args, "chain_complex", "left", "right", dims=hom_dims))
 
 
 def cmd_totalize(args):
@@ -201,8 +210,7 @@ def cmd_koszul_dual(args):
     return 0, {"type": "koszul_duality", "n": K.n,
                "target_lambdas": [[rat_str(x) for x in lam]
                                   for lam in dual.target.lambdas],
-               "maps": {str(i): m.realize().to_str_lists()
-                        for i, m in sorted(dual.maps.items())}}
+               "maps": {str(i): m.realize() for i, m in dual.maps.items()}}
 
 
 def cmd_monodromy(args):
@@ -211,10 +219,8 @@ def cmd_monodromy(args):
     _require_valid(obj, _problems(obj))
     if tag_of(obj) == "perv_disk":
         t_psi, t_phi = disk_monodromies(obj)
-        return 0, {"type": "monodromy", "psi": t_psi.to_str_lists(),
-                   "phi": t_phi.to_str_lists()}
-    return 0, {"type": "monodromy",
-               "levels": [t.to_str_lists() for t in flag_monodromies(obj)]}
+        return 0, {"type": "monodromy", "psi": t_psi, "phi": t_phi}
+    return 0, {"type": "monodromy", "levels": flag_monodromies(obj)}
 
 
 def cmd_amalgamate(args):
@@ -294,7 +300,53 @@ def cmd_cc2(args):
         raise _failed(e)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# (name, handler, help, positional files, extra options as (flag, add_argument keywords))
+_COMMANDS = (
+    ("validate", cmd_validate, "check a document's invariants", ("file",), ()),
+    ("homology", cmd_homology, "homology dimensions of a chain complex", ("file",), ()),
+    ("cone", cmd_cone, "mapping cone of a chain map", ("file",), ()),
+    ("tensor", cmd_tensor, "tensor product of two complexes", ("left", "right"), ()),
+    ("hom-complex", cmd_hom_complex, "mapping complex of two complexes",
+     ("left", "right"), ()),
+    ("totalize", cmd_totalize, "total complex of a multicomplex", ("file",), ()),
+    ("koszul", cmd_koszul, "realized Koszul complex of an algebra with lambdas",
+     ("file",), ()),
+    ("koszul-dual", cmd_koszul_dual, "verified self-duality data of a Koszul complex",
+     ("file",), ()),
+    ("monodromy", cmd_monodromy, "monodromy matrices of a disk or flag model",
+     ("file",), ()),
+    ("amalgamate", cmd_amalgamate, "amalgamate two disk models sharing Psi",
+     ("left", "right"), ()),
+    ("embed-cube", cmd_embed_cube, "embed a flag model into the n-cube model",
+     ("file",), ()),
+    ("encode-sheaf", cmd_encode_sheaf,
+     "stalk/monodromy/homotopy encoding of a disk or flag model", ("file",),
+     (("--dual", {"action": "store_true", "help": "cosheaf-style encoding (disk only)"}),)),
+    ("verify-encoding", cmd_verify_encoding, "replay all encoding identities", ("file",), ()),
+    ("dk-normalize", cmd_dk_normalize, "normalized chain complex of a simplicial object",
+     ("file",), ()),
+    ("dk-gamma", cmd_dk_gamma, "simplicial object built from a complex", ("file",),
+     (("--level", {"type": int, "default": None,
+                   "help": "truncation level (default: top degree)"}),)),
+    ("zeta", cmd_zeta, "zeta matrix of a finite poset", ("file",), ()),
+    ("mobius", cmd_mobius, "Moebius matrix of a finite poset", ("file",), ()),
+    ("k0-compose", cmd_k0_compose, "compose K0 matrices over a middle poset",
+     ("left", "right", "middle"), ()),
+    ("lax-compose", cmd_lax_compose, "compose two Delta^1 chain matrices",
+     ("left", "right"), ()),
+    ("cof", cmd_cof, "cofiber action: target -> cone", ("file",), ()),
+    ("fib", cmd_fib, "fiber action: fib -> source", ("file",), ()),
+    ("cc2", cmd_cc2, "twisted total complex of a composable pair", ("left", "right"), ()),
+)
+
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or with `only` that one.
+
+    A parser with one subcommand parses that subcommand's command lines
+    exactly as the full parser does, and writes the same usage and errors:
+    its subcommand list is spelled as the full list in its usage line.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--strict", action="store_true",
                         help="reject non-canonical rationals instead of normalizing")
@@ -306,46 +358,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catcx",
         description="Exact chain-level calculators for categorical complexes.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text, files=("file",)):
+    metavar = None if only is None else "{" + ",".join(c[0] for c in _COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, handler, help_text, files, options in _COMMANDS:
+        if only is not None and name != only:
+            continue
         p = sub.add_parser(name, parents=[common], help=help_text)
         for f in files:
             p.add_argument(f)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
-        return p
-
-    add("validate", cmd_validate, "check a document's invariants")
-    add("homology", cmd_homology, "homology dimensions of a chain complex")
-    add("cone", cmd_cone, "mapping cone of a chain map")
-    add("tensor", cmd_tensor, "tensor product of two complexes", ("left", "right"))
-    add("hom-complex", cmd_hom_complex, "mapping complex of two complexes",
-        ("left", "right"))
-    add("totalize", cmd_totalize, "total complex of a multicomplex")
-    add("koszul", cmd_koszul, "realized Koszul complex of an algebra with lambdas")
-    add("koszul-dual", cmd_koszul_dual, "verified self-duality data of a Koszul complex")
-    add("monodromy", cmd_monodromy, "monodromy matrices of a disk or flag model")
-    add("amalgamate", cmd_amalgamate, "amalgamate two disk models sharing Psi",
-        ("left", "right"))
-    add("embed-cube", cmd_embed_cube, "embed a flag model into the n-cube model")
-    p_enc = add("encode-sheaf", cmd_encode_sheaf,
-                "stalk/monodromy/homotopy encoding of a disk or flag model")
-    p_enc.add_argument("--dual", action="store_true",
-                       help="cosheaf-style encoding (disk only)")
-    add("verify-encoding", cmd_verify_encoding, "replay all encoding identities")
-    add("dk-normalize", cmd_dk_normalize, "normalized chain complex of a simplicial object")
-    p_gamma = add("dk-gamma", cmd_dk_gamma, "simplicial object built from a complex")
-    p_gamma.add_argument("--level", type=int, default=None,
-                         help="truncation level (default: top degree)")
-    add("zeta", cmd_zeta, "zeta matrix of a finite poset")
-    add("mobius", cmd_mobius, "Moebius matrix of a finite poset")
-    add("k0-compose", cmd_k0_compose, "compose K0 matrices over a middle poset",
-        ("left", "right", "middle"))
-    add("lax-compose", cmd_lax_compose, "compose two Delta^1 chain matrices",
-        ("left", "right"))
-    add("cof", cmd_cof, "cofiber action: target -> cone", ("file",))
-    add("fib", cmd_fib, "fiber action: fib -> source", ("file",))
-    add("cc2", cmd_cc2, "twisted total complex of a composable pair", ("left", "right"))
     return parser
 
 
@@ -359,7 +382,9 @@ def _emit(doc, args) -> None:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    named = argv[0] if argv and argv[0] in {c[0] for c in _COMMANDS} else None
+    parser = _build_parser(named)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

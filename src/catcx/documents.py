@@ -14,29 +14,39 @@ subsets are comma-joined ("1,0", "1,3", "" for the empty set).
 The environment variable CATCX_MAX_DIM (default 512) caps every declared
 dimension and matrix side at parse time, and the largest degree a Koszul
 input implies, so a malicious or runaway input fails fast instead of
-allocating.
+allocating.  The tensor and hom-complex commands apply it to each degree
+of their result too, before building it.
 
 Each document type is one row of the table `_TYPES`: tag, defining module
-and class, parser and serializer.  A domain module is imported only when a
+and class, parser and serializer.  The codecs of the chain types (complex,
+map, homotopy) and of bare matrices live here, beside the helpers every
+codec shares; the codecs of every other type live at the end of their
+domain module (multicplx, koszul, perverse, doldkan, laxmat), and the row
+names them.  A domain module, and so its codec, is imported only when a
 document of its type is parsed, and serialization finds the row from the
 object's class without importing anything, so handling one type never
-loads the modules of the others.
+loads or compiles the code of the others.
 
-serialize_document is deterministic: sorted keys, fixed separators, one
-trailing newline.  parse_document(serialize_document(x)) reproduces x,
-and serializing again reproduces the exact bytes.
+A serializer returns the document's fields; values may be matrices and
+library objects with a document type, which are written as rows of
+rational strings and as nested documents.  serialize_document writes the
+JSON text itself, byte for byte as json.dumps(..., sort_keys=True) would
+(compact or with indent=2): sorted keys, fixed separators, one trailing
+newline.  A matrix goes straight from its int numerators to text, without
+a string object per entry.  parse_document(serialize_document(x))
+reproduces x, and serializing again reproduces the exact bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from importlib import import_module
 from typing import Callable, Dict, Optional, Tuple
 
 from .exactlin import DimensionError, Matrix, rat_str
+from .record import Record
 
 MAX_DIM_ENV = "CATCX_MAX_DIM"
 DEFAULT_MAX_DIM = 512
@@ -156,6 +166,18 @@ def _as_int(x, path: str) -> int:
     return x
 
 
+def _canonical_ints(row: list) -> Optional[list]:
+    """row's values when every cell is an int spelled exactly as str()
+    spells it, checked for the whole row in one int/str round trip."""
+    try:
+        if max(map(len, row), default=0) > MAX_RATIONAL_DIGITS:
+            return None  # the per-cell path decides (a sign and 4300 digits pass)
+        values = list(map(int, row))
+    except (TypeError, ValueError):
+        return None
+    return values if list(map(str, values)) == row else None
+
+
 def _parse_matrix(data, ctx: "_Ctx", path: str,
                   rows: Optional[int] = None, cols: Optional[int] = None) -> Matrix:
     arr = _as_list(data, path)
@@ -165,8 +187,11 @@ def _parse_matrix(data, ctx: "_Ctx", path: str,
     for i, row in enumerate(arr):
         row = _as_list(row, f"{path}[{i}]")
         widths.add(len(row))
+        values = _canonical_ints(row)
+        if values is not None:  # all ints, so Matrix takes its all-int path
+            ent.extend(values)
+            continue
         for j, cell in enumerate(row):
-            # canonical integers stay ints, so Matrix takes its all-int path
             n = _canonical_int(cell) if type(cell) is str else None
             ent.append(n if n is not None
                        else parse_rational(cell, ctx.strict, ctx.warn, f"{path}[{i}][{j}]"))
@@ -195,33 +220,11 @@ def _parse_subset(key: str, path: str):
         raise DocumentError(f"bad subset key {key!r}", path)
 
 
-def _deg_key(a: Tuple[int, ...]) -> str:
-    return ",".join(str(x) for x in a)
-
-
-def _parse_deg(key: str, n: int, path: str) -> Tuple[int, ...]:
-    parts = key.split(",")
-    if len(parts) != n:
-        raise DocumentError(f"multidegree {key!r} needs {n} entries", path)
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise DocumentError(f"bad multidegree key {key!r}", path)
-
-
-@dataclass
-class _Ctx:
+class _Ctx(Record):
+    __slots__ = ("strict", "warn", "cap")
     strict: bool
     warn: Warn
     cap: int
-
-
-@dataclass
-class KoszulSpec:
-    """Parsed but not yet verified Koszul input (algebra + lambda vectors)."""
-
-    algebra: FDAlgebra
-    lambdas: Tuple[Tuple[Fraction, ...], ...]
 
 
 # -- per-type parsers ----------------------------------------------------------
@@ -286,356 +289,13 @@ def _parse_chain_homotopy(d: dict, ctx: _Ctx, path: str) -> ChainHomotopy:
     return ChainHomotopy(src, tgt, comps)
 
 
-def _parse_multicomplex(d: dict, ctx: _Ctx, path: str) -> MultiComplex:
-    from .multicplx import MultiComplex
-    n = _as_int(_req(d, "n", path), f"{path}.n")
-    if n < 1:
-        raise DocumentError("n must be at least 1", f"{path}.n")
-    sup = _as_dict(_req(d, "support", path), f"{path}.support")
-    lo = [_as_int(x, f"{path}.support.lo") for x in _as_list(_req(sup, "lo", f"{path}.support"), f"{path}.support.lo")]
-    hi = [_as_int(x, f"{path}.support.hi") for x in _as_list(_req(sup, "hi", f"{path}.support"), f"{path}.support.hi")]
-    if len(lo) != n or len(hi) != n:
-        raise DocumentError("support bounds must have one entry per axis", f"{path}.support")
-    dims = {}
-    for key, v in _as_dict(_req(d, "dims", path), f"{path}.dims").items():
-        a = _parse_deg(key, n, f"{path}.dims")
-        dims[a] = _check_dim(_as_int(v, f"{path}.dims.{key}"), f"{path}.dims.{key}", ctx.cap)
-    probe = MultiComplex(n, lo, hi, dims)
-    diffs: Dict[int, Dict[Tuple[int, ...], Matrix]] = {}
-    for axkey, table in _as_dict(d.get("differentials", {}), f"{path}.differentials").items():
-        try:
-            j = int(axkey)
-        except ValueError:
-            raise DocumentError(f"bad axis key {axkey!r}", f"{path}.differentials")
-        if not (1 <= j <= n):
-            raise DocumentError(f"axis {j} out of range", f"{path}.differentials")
-        diffs[j] = {}
-        for key, mat in _as_dict(table, f"{path}.differentials.{axkey}").items():
-            a = _parse_deg(key, n, f"{path}.differentials.{axkey}")
-            b = tuple(x - (1 if t == j - 1 else 0) for t, x in enumerate(a))
-            diffs[j][a] = _parse_matrix(mat, ctx, f"{path}.differentials.{axkey}.{key}",
-                                        rows=probe.dim(b), cols=probe.dim(a))
-    return MultiComplex(n, lo, hi, dims, diffs)
-
-
-def _parse_chain_cube(d: dict, ctx: _Ctx, path: str) -> ChainCube:
-    from .chain import ChainMap
-    from .multicplx import ChainCube
-    n = _as_int(_req(d, "n", path), f"{path}.n")
-    vertices = {}
-    for key, v in _as_dict(_req(d, "vertices", path), f"{path}.vertices").items():
-        J = _parse_subset(key, f"{path}.vertices")
-        vertices[J] = _parse_chain_complex(_as_dict(v, f"{path}.vertices.{key}"),
-                                           ctx, f"{path}.vertices.{key}")
-    edges: Dict[int, Dict[frozenset, ChainMap]] = {}
-    for axkey, table in _as_dict(_req(d, "edges", path), f"{path}.edges").items():
-        try:
-            i = int(axkey)
-        except ValueError:
-            raise DocumentError(f"bad axis key {axkey!r}", f"{path}.edges")
-        edges[i] = {}
-        for key, comps in _as_dict(table, f"{path}.edges.{axkey}").items():
-            J = _parse_subset(key, f"{path}.edges.{axkey}")
-            if J not in vertices or (J - {i}) not in vertices:
-                raise DocumentError(f"edge at {key!r} references missing vertices",
-                                    f"{path}.edges.{axkey}")
-            cm = _parse_components(comps, vertices[J], vertices[J - {i}], ctx,
-                                   f"{path}.edges.{axkey}.{key}")
-            edges[i][J] = ChainMap(vertices[J], vertices[J - {i}], cm)
-    try:
-        return ChainCube(n, vertices, edges)
-    except DimensionError as e:
-        raise DocumentError(str(e), path)
-
-
-def _parse_fd_algebra(d: dict, ctx: _Ctx, path: str) -> FDAlgebra:
-    from .koszul import FDAlgebra
-    m = _check_dim(_as_int(_req(d, "dim", path), f"{path}.dim"), f"{path}.dim", ctx.cap)
-    structure_raw = _as_list(_req(d, "structure", path), f"{path}.structure")
-    if len(structure_raw) != m:
-        raise DocumentError("structure must have dim planes", f"{path}.structure")
-    structure = []
-    for i, plane in enumerate(structure_raw):
-        plane = _as_list(plane, f"{path}.structure[{i}]")
-        if len(plane) != m:
-            raise DocumentError("plane has wrong size", f"{path}.structure[{i}]")
-        prow = []
-        for j, row in enumerate(plane):
-            row = _as_list(row, f"{path}.structure[{i}][{j}]")
-            if len(row) != m:
-                raise DocumentError("row has wrong size", f"{path}.structure[{i}][{j}]")
-            prow.append(tuple(parse_rational(x, ctx.strict, ctx.warn,
-                                             f"{path}.structure[{i}][{j}][{k}]")
-                              for k, x in enumerate(row)))
-        structure.append(tuple(prow))
-    unit_raw = _as_list(_req(d, "unit", path), f"{path}.unit")
-    if len(unit_raw) != m:
-        raise DocumentError("unit vector has wrong length", f"{path}.unit")
-    unit = tuple(parse_rational(x, ctx.strict, ctx.warn, f"{path}.unit[{k}]")
-                 for k, x in enumerate(unit_raw))
-    return FDAlgebra(m, tuple(structure), unit)
-
-
-def _parse_koszul(d: dict, ctx: _Ctx, path: str) -> KoszulSpec:
-    alg = _parse_fd_algebra(_as_dict(_req(d, "algebra", path), f"{path}.algebra"),
-                            ctx, f"{path}.algebra")
-    lams_raw = _as_list(_req(d, "lambdas", path), f"{path}.lambdas")
-    # K has C(n, k) * dim basis vectors in degree k, most at k = n // 2
-    n = len(lams_raw)
-    largest = comb(n, n // 2) * alg.dim
-    if largest > ctx.cap:
-        raise DocumentError(f"{n} lambdas over a {alg.dim}-dimensional algebra imply a "
-                            f"degree of dimension {largest}, which exceeds "
-                            f"{MAX_DIM_ENV}={ctx.cap}", f"{path}.lambdas")
-    lams = []
-    for i, lam in enumerate(lams_raw):
-        lam = _as_list(lam, f"{path}.lambdas[{i}]")
-        if len(lam) != alg.dim:
-            raise DocumentError("lambda vector has wrong length", f"{path}.lambdas[{i}]")
-        lams.append(tuple(parse_rational(x, ctx.strict, ctx.warn,
-                                         f"{path}.lambdas[{i}][{k}]")
-                          for k, x in enumerate(lam)))
-    return KoszulSpec(alg, tuple(lams))
-
-
-def _parse_perv_disk(d: dict, ctx: _Ctx, path: str) -> PervDisk:
-    from .perverse import PervDisk
-    f = _parse_matrix(_req(d, "f", path), ctx, f"{path}.f")
-    g = _parse_matrix(_req(d, "g", path), ctx, f"{path}.g",
-                      rows=f.cols, cols=f.rows)
-    return PervDisk(f, g)
-
-
-def _parse_perv_flag(d: dict, ctx: _Ctx, path: str) -> PervFlag:
-    from .perverse import PervFlag
-    dims_raw = _as_list(_req(d, "dims", path), f"{path}.dims")
-    if not dims_raw:
-        raise DocumentError("dims must be nonempty", f"{path}.dims")
-    dims = tuple(_check_dim(_as_int(x, f"{path}.dims[{i}]"), f"{path}.dims[{i}]", ctx.cap)
-                 for i, x in enumerate(dims_raw))
-    n = len(dims) - 1
-    d_raw = _as_list(_req(d, "d", path), f"{path}.d")
-    delta_raw = _as_list(_req(d, "delta", path), f"{path}.delta")
-    if len(d_raw) != n or len(delta_raw) != n:
-        raise DocumentError(f"need exactly {n} maps in d and delta", path)
-    ds = tuple(_parse_matrix(m, ctx, f"{path}.d[{k}]", rows=dims[k + 1], cols=dims[k])
-               for k, m in enumerate(d_raw))
-    deltas = tuple(_parse_matrix(m, ctx, f"{path}.delta[{k}]",
-                                 rows=dims[k], cols=dims[k + 1])
-                   for k, m in enumerate(delta_raw))
-    return PervFlag(dims, ds, deltas)
-
-
-def _parse_perv_cube(d: dict, ctx: _Ctx, path: str) -> PervCube:
-    from .perverse import PervCube
-    n = _as_int(_req(d, "n", path), f"{path}.n")
-    if n < 1:
-        raise DocumentError("n must be at least 1", f"{path}.n")
-    dims = {}
-    for key, v in _as_dict(_req(d, "dims", path), f"{path}.dims").items():
-        J = _parse_subset(key, f"{path}.dims")
-        dims[J] = _check_dim(_as_int(v, f"{path}.dims.{key}"), f"{path}.dims.{key}", ctx.cap)
-
-    def dim_of(J) -> int:
-        return dims.get(frozenset(J), 0)
-
-    def parse_side(field: str, rows_of, cols_of):
-        out: Dict[int, Dict[frozenset, Matrix]] = {}
-        for axkey, table in _as_dict(_req(d, field, path), f"{path}.{field}").items():
-            try:
-                i = int(axkey)
-            except ValueError:
-                raise DocumentError(f"bad axis key {axkey!r}", f"{path}.{field}")
-            out[i] = {}
-            for key, mat in _as_dict(table, f"{path}.{field}.{axkey}").items():
-                J = _parse_subset(key, f"{path}.{field}.{axkey}")
-                out[i][J] = _parse_matrix(mat, ctx, f"{path}.{field}.{axkey}.{key}",
-                                          rows=rows_of(i, J), cols=cols_of(i, J))
-        return out
-
-    f = parse_side("f", lambda i, J: dim_of(J), lambda i, J: dim_of(J | {i}))
-    g = parse_side("g", lambda i, J: dim_of(J | {i}), lambda i, J: dim_of(J))
-    return PervCube(n, dims, f, g)
-
-
-def _parse_local_star(d: dict, ctx: _Ctx, path: str) -> LocalStar:
-    from .perverse import LocalStar
-    f_raw = _as_list(_req(d, "f", path), f"{path}.f")
-    g_raw = _as_list(_req(d, "g", path), f"{path}.g")
-    if not f_raw or len(f_raw) != len(g_raw):
-        raise DocumentError("f and g must be nonempty lists of equal length", path)
-    fs = [_parse_matrix(m, ctx, f"{path}.f[{i}]") for i, m in enumerate(f_raw)]
-    gs = [_parse_matrix(m, ctx, f"{path}.g[{i}]",
-                        rows=fs[i].cols, cols=fs[i].rows)
-          for i, m in enumerate(g_raw)]
-    return LocalStar(tuple(fs), tuple(gs))
-
-
-def _parse_sheaf_encoding(d: dict, ctx: _Ctx, path: str) -> SheafEncoding:
-    from .chain import ChainHomotopy, ChainMap
-    from .perverse import SheafEncoding
-    dual = _req(d, "dual", path)
-    if not isinstance(dual, bool):
-        raise DocumentError("dual must be a boolean", f"{path}.dual")
-    stalks = [
-        _parse_chain_complex(_as_dict(s, f"{path}.stalks[{i}]"), ctx, f"{path}.stalks[{i}]")
-        for i, s in enumerate(_as_list(_req(d, "stalks", path), f"{path}.stalks"))
-    ]
-    if not stalks:
-        raise DocumentError("need at least one stalk", f"{path}.stalks")
-    m = len(stalks) - 1
-    maps_raw = _as_list(_req(d, "maps", path), f"{path}.maps")
-    mono_raw = _as_list(_req(d, "monodromies", path), f"{path}.monodromies")
-    homo_raw = _as_list(_req(d, "homotopies", path), f"{path}.homotopies")
-    if len(maps_raw) != m or len(mono_raw) != m or len(homo_raw) != m:
-        raise DocumentError(f"need exactly {m} maps, monodromies and homotopies", path)
-    maps = []
-    monos = []
-    homos = []
-    for i in range(m):
-        if dual:
-            src, tgt = stalks[i + 1], stalks[i]
-        else:
-            src, tgt = stalks[i], stalks[i + 1]
-        maps.append(ChainMap(src, tgt, _parse_components(
-            maps_raw[i], src, tgt, ctx, f"{path}.maps[{i}]")))
-        monos.append(ChainMap(stalks[i + 1], stalks[i + 1], _parse_components(
-            mono_raw[i], stalks[i + 1], stalks[i + 1], ctx, f"{path}.monodromies[{i}]")))
-        homos.append(ChainHomotopy(src, tgt, _parse_components(
-            homo_raw[i], src, tgt, ctx, f"{path}.homotopies[{i}]", degree_shift=1)))
-    return SheafEncoding(dual, stalks, maps, monos, homos)
-
-
-def _parse_simplicial(d: dict, ctx: _Ctx, path: str) -> SimplicialVS:
-    from .doldkan import SimplicialVS
-    N = _as_int(_req(d, "N", path), f"{path}.N")
-    if N < 0:
-        raise DocumentError("N must be nonnegative", f"{path}.N")
-    dims_raw = _as_list(_req(d, "dims", path), f"{path}.dims")
-    if len(dims_raw) != N + 1:
-        raise DocumentError("dims must list X_0..X_N", f"{path}.dims")
-    dims = tuple(_check_dim(_as_int(x, f"{path}.dims[{i}]"), f"{path}.dims[{i}]", ctx.cap)
-                 for i, x in enumerate(dims_raw))
-
-    def parse_ops(field: str, valid_levels, rows_at, cols_at):
-        table = _as_dict(_req(d, field, path), f"{path}.{field}") if valid_levels else {}
-        out = {}
-        for nkey, ops in table.items():
-            try:
-                n = int(nkey)
-            except ValueError:
-                raise DocumentError(f"bad level key {nkey!r}", f"{path}.{field}")
-            if n not in valid_levels:
-                raise DocumentError(f"level {n} out of range", f"{path}.{field}")
-            ops = _as_list(ops, f"{path}.{field}.{nkey}")
-            if len(ops) != n + 1:
-                raise DocumentError(f"level {n} needs {n + 1} maps",
-                                    f"{path}.{field}.{nkey}")
-            out[n] = tuple(
-                _parse_matrix(m, ctx, f"{path}.{field}.{nkey}[{i}]",
-                              rows=rows_at(n), cols=cols_at(n))
-                for i, m in enumerate(ops))
-        return out
-
-    faces = parse_ops("faces", range(1, N + 1),
-                      lambda n: dims[n - 1], lambda n: dims[n])
-    degeneracies = parse_ops("degeneracies", range(N),
-                             lambda n: dims[n + 1], lambda n: dims[n])
-    try:
-        return SimplicialVS(N, dims, faces, degeneracies)
-    except DimensionError as e:
-        raise DocumentError(str(e), path)
-
-
-def _parse_fin_poset(d: dict, ctx: _Ctx, path: str) -> FinPoset:
-    from .laxmat import FinPoset
-    labels_raw = _as_list(_req(d, "labels", path), f"{path}.labels")
-    labels = []
-    for i, s in enumerate(labels_raw):
-        if not isinstance(s, str):
-            raise DocumentError("labels must be strings", f"{path}.labels[{i}]")
-        labels.append(s)
-    if len(set(labels)) != len(labels):
-        raise DocumentError("labels must be distinct", f"{path}.labels")
-    _check_dim(len(labels), f"{path}.labels", ctx.cap)
-    leq_raw = _as_list(_req(d, "leq", path), f"{path}.leq")
-    if len(leq_raw) != len(labels):
-        raise DocumentError("leq must be square over the labels", f"{path}.leq")
-    leq = []
-    for i, row in enumerate(leq_raw):
-        row = _as_list(row, f"{path}.leq[{i}]")
-        if len(row) != len(labels):
-            raise DocumentError("leq must be square over the labels", f"{path}.leq[{i}]")
-        for j, v in enumerate(row):
-            if not isinstance(v, bool):
-                raise DocumentError("leq entries must be booleans", f"{path}.leq[{i}][{j}]")
-        leq.append(tuple(row))
-    return FinPoset(tuple(labels), tuple(leq))
-
-
-def _parse_int_matrix(d: dict, ctx: _Ctx, path: str) -> IntMatrix:
-    from .laxmat import IntMatrix
-    rl = _as_list(_req(d, "row_labels", path), f"{path}.row_labels")
-    cl = _as_list(_req(d, "col_labels", path), f"{path}.col_labels")
-    for i, s in enumerate(rl + cl):
-        if not isinstance(s, str):
-            raise DocumentError("labels must be strings", path)
-    _check_dim(len(rl), f"{path}.row_labels", ctx.cap)
-    _check_dim(len(cl), f"{path}.col_labels", ctx.cap)
-    ent_raw = _as_list(_req(d, "entries", path), f"{path}.entries")
-    if len(ent_raw) != len(rl):
-        raise DocumentError("entry rows do not match row_labels", f"{path}.entries")
-    ent = []
-    for i, row in enumerate(ent_raw):
-        row = _as_list(row, f"{path}.entries[{i}]")
-        if len(row) != len(cl):
-            raise DocumentError("entry row width does not match col_labels",
-                                f"{path}.entries[{i}]")
-        ent.append([_as_int(x, f"{path}.entries[{i}][{j}]") for j, x in enumerate(row)])
-    return IntMatrix(rl, cl, ent)
-
-
-def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
-    from .chain import ChainMap, tensor
-    from .laxmat import Delta1ChainMatrix
-    g_src = _parse_chain_complex(_as_dict(_req(d, "g_src", path), f"{path}.g_src"),
-                                 ctx, f"{path}.g_src")
-    g_tgt = _parse_chain_complex(_as_dict(_req(d, "g_tgt", path), f"{path}.g_tgt"),
-                                 ctx, f"{path}.g_tgt")
-    entries = {}
-    ent_raw = _as_dict(_req(d, "entries", path), f"{path}.entries")
-    for t in (0, 1):
-        for s in (0, 1):
-            key = f"{t},{s}"
-            if key not in ent_raw:
-                raise DocumentError(f"missing entry {key!r}", f"{path}.entries")
-            entries[(t, s)] = _parse_chain_complex(
-                _as_dict(ent_raw[key], f"{path}.entries.{key}"), ctx,
-                f"{path}.entries.{key}")
-    cells_raw = _as_dict(_req(d, "cells", path), f"{path}.cells")
-    shapes = {
-        "f0": (tensor(g_tgt, entries[(0, 0)]), entries[(1, 0)]),
-        "0f": (tensor(entries[(0, 1)], g_src), entries[(0, 0)]),
-        "f1": (tensor(g_tgt, entries[(0, 1)]), entries[(1, 1)]),
-        "1f": (tensor(entries[(1, 1)], g_src), entries[(1, 0)]),
-    }
-    cells = {}
-    for name, (src, tgt) in shapes.items():
-        if name not in cells_raw:
-            raise DocumentError(f"missing cell {name!r}", f"{path}.cells")
-        comps = _parse_components(cells_raw[name], src, tgt, ctx, f"{path}.cells.{name}")
-        cells[name] = ChainMap(src, tgt, comps)
-    return Delta1ChainMatrix(g_src, g_tgt, entries,
-                             cell_f0=cells["f0"], cell_0f=cells["0f"],
-                             cell_f1=cells["f1"], cell_1f=cells["1f"])
-
-
 # -- serializers: one per type, each returning the document without its tag --
 #
-# Key order does not matter: serialize_document sorts keys.
+# Key order does not matter: the writer sorts keys.
+
 
 def _components_json(comps: Dict[int, Matrix]) -> dict:
-    return {str(k): m.to_str_lists() for k, m in comps.items() if m.rows and m.cols}
+    return {str(k): m for k, m in comps.items() if m.rows and m.cols}
 
 
 def _chain_complex_json(C) -> dict:
@@ -643,83 +303,14 @@ def _chain_complex_json(C) -> dict:
     for k in range(C.lo + 1, C.hi + 1):
         m = C.d(k)
         if m.rows and m.cols:
-            diffs[str(k)] = m.to_str_lists()
-    return {"lo": C.lo, "hi": C.hi, "dims": list(C.dims), "differentials": diffs}
+            diffs[str(k)] = m
+    return {"lo": C.lo, "hi": C.hi, "dims": C.dims, "differentials": diffs}
 
 
 def _chain_map_json(f) -> dict:
     """Chain maps and chain homotopies alike."""
-    return {"source": _to_jsonable(f.source), "target": _to_jsonable(f.target),
+    return {"source": f.source, "target": f.target,
             "components": _components_json(f.comps)}
-
-
-def _multicomplex_json(M) -> dict:
-    diffs = {}
-    for j in range(1, M.n + 1):
-        table = {}
-        for a, m in M.diffs.get(j, {}).items():
-            if m.rows and m.cols:
-                table[_deg_key(a)] = m.to_str_lists()
-        if table:
-            diffs[str(j)] = table
-    return {"n": M.n, "support": {"lo": list(M.lo), "hi": list(M.hi)},
-            "dims": {_deg_key(a): v for a, v in M.dims.items()},
-            "differentials": diffs}
-
-
-def _chain_cube_json(Q) -> dict:
-    edges = {}
-    for i in range(1, Q.n + 1):
-        edges[str(i)] = {_subset_key(J): _components_json(e.comps)
-                         for J, e in Q.edges[i].items()}
-    return {"n": Q.n, "vertices": {_subset_key(J): _to_jsonable(v)
-                                   for J, v in Q.vertices.items()},
-            "edges": edges}
-
-
-def _fd_algebra_json(A) -> dict:
-    return {"dim": A.dim,
-            "structure": [[[rat_str(x) for x in row] for row in plane]
-                          for plane in A.structure],
-            "unit": [rat_str(x) for x in A.unit]}
-
-
-def _koszul_json(K) -> dict:
-    """Koszul inputs and built Koszul complexes alike."""
-    return {"algebra": _to_jsonable(K.algebra),
-            "lambdas": [[rat_str(x) for x in lam] for lam in K.lambdas]}
-
-
-def _perv_cube_json(P) -> dict:
-    def side(table):
-        return {str(i): {_subset_key(J): m.to_str_lists() for J, m in sub.items()}
-                for i, sub in table.items()}
-    return {"n": P.n, "dims": {_subset_key(J): v for J, v in P.dims.items()},
-            "f": side(P.f), "g": side(P.g)}
-
-
-def _sheaf_encoding_json(E) -> dict:
-    return {"dual": E.dual, "stalks": [_to_jsonable(s) for s in E.stalks],
-            "maps": [_components_json(m.comps) for m in E.maps],
-            "monodromies": [_components_json(m.comps) for m in E.monodromies],
-            "homotopies": [_components_json(h.comps) for h in E.homotopies]}
-
-
-def _simplicial_json(X) -> dict:
-    def ops(table):
-        return {str(n): [m.to_str_lists() for m in maps] for n, maps in table.items()}
-    return {"N": X.n_max, "dims": list(X.dims),
-            "faces": ops(X.faces), "degeneracies": ops(X.degeneracies)}
-
-
-def _delta1_json(N) -> dict:
-    return {"g_src": _to_jsonable(N.g_src), "g_tgt": _to_jsonable(N.g_tgt),
-            "entries": {f"{t},{s}": _to_jsonable(N.entry(t, s))
-                        for t in (0, 1) for s in (0, 1)},
-            "cells": {"f0": _components_json(N.cell_f0.comps),
-                      "0f": _components_json(N.cell_0f.comps),
-                      "f1": _components_json(N.cell_f1.comps),
-                      "1f": _components_json(N.cell_1f.comps)}}
 
 
 def _parse_matrix_document(d: dict, ctx: _Ctx, path: str) -> Matrix:
@@ -729,42 +320,40 @@ def _parse_matrix_document(d: dict, ctx: _Ctx, path: str) -> Matrix:
 # -- the table of document types -------------------------------------------------
 
 _TYPES = (
-    # (tag, module, class, parse, to_json)
+    # (tag, module, class, parse, to_json): the codecs are functions here,
+    # or the names of functions in the type's own module
     ("chain_complex", "chain", "ChainComplex", _parse_chain_complex, _chain_complex_json),
     ("chain_map", "chain", "ChainMap", _parse_chain_map, _chain_map_json),
     ("chain_homotopy", "chain", "ChainHomotopy", _parse_chain_homotopy, _chain_map_json),
-    ("multicomplex", "multicplx", "MultiComplex", _parse_multicomplex, _multicomplex_json),
-    ("chain_cube", "multicplx", "ChainCube", _parse_chain_cube, _chain_cube_json),
-    ("fd_algebra", "koszul", "FDAlgebra", _parse_fd_algebra, _fd_algebra_json),
-    ("koszul_complex", "documents", "KoszulSpec", _parse_koszul, _koszul_json),
-    ("koszul_complex", "koszul", "FreeKoszulComplex", _parse_koszul, _koszul_json),
-    ("perv_disk", "perverse", "PervDisk", _parse_perv_disk,
-     lambda P: {"f": P.f.to_str_lists(), "g": P.g.to_str_lists()}),
-    ("perv_flag", "perverse", "PervFlag", _parse_perv_flag,
-     lambda P: {"dims": list(P.dims), "d": [m.to_str_lists() for m in P.d],
-                "delta": [m.to_str_lists() for m in P.delta]}),
-    ("perv_cube", "perverse", "PervCube", _parse_perv_cube, _perv_cube_json),
-    ("local_star", "perverse", "LocalStar", _parse_local_star,
-     lambda S: {"f": [m.to_str_lists() for m in S.f],
-                "g": [m.to_str_lists() for m in S.g]}),
-    ("sheaf_encoding", "perverse", "SheafEncoding", _parse_sheaf_encoding,
-     _sheaf_encoding_json),
-    ("simplicial_vs", "doldkan", "SimplicialVS", _parse_simplicial, _simplicial_json),
-    ("fin_poset", "laxmat", "FinPoset", _parse_fin_poset,
-     lambda P: {"labels": list(P.labels), "leq": [list(row) for row in P.leq]}),
-    ("int_matrix", "laxmat", "IntMatrix", _parse_int_matrix,
-     lambda M: {"row_labels": list(M.row_labels), "col_labels": list(M.col_labels),
-                "entries": [list(row) for row in M.entries]}),
-    ("delta1_chain_matrix", "laxmat", "Delta1ChainMatrix", _parse_delta1, _delta1_json),
-    ("matrix", "exactlin", "Matrix", _parse_matrix_document,
-     lambda m: {"entries": m.to_str_lists()}),
+    ("multicomplex", "multicplx", "MultiComplex", "_parse_multicomplex", "_multicomplex_json"),
+    ("chain_cube", "multicplx", "ChainCube", "_parse_chain_cube", "_chain_cube_json"),
+    ("fd_algebra", "koszul", "FDAlgebra", "_parse_fd_algebra", "_fd_algebra_json"),
+    ("koszul_complex", "koszul", "KoszulSpec", "_parse_koszul", "_koszul_json"),
+    ("koszul_complex", "koszul", "FreeKoszulComplex", "_parse_koszul", "_koszul_json"),
+    ("perv_disk", "perverse", "PervDisk", "_parse_perv_disk", "_perv_disk_json"),
+    ("perv_flag", "perverse", "PervFlag", "_parse_perv_flag", "_perv_flag_json"),
+    ("perv_cube", "perverse", "PervCube", "_parse_perv_cube", "_perv_cube_json"),
+    ("local_star", "perverse", "LocalStar", "_parse_local_star", "_local_star_json"),
+    ("sheaf_encoding", "perverse", "SheafEncoding", "_parse_sheaf_encoding",
+     "_sheaf_encoding_json"),
+    ("simplicial_vs", "doldkan", "SimplicialVS", "_parse_simplicial", "_simplicial_json"),
+    ("fin_poset", "laxmat", "FinPoset", "_parse_fin_poset", "_fin_poset_json"),
+    ("int_matrix", "laxmat", "IntMatrix", "_parse_int_matrix", "_int_matrix_json"),
+    ("delta1_chain_matrix", "laxmat", "Delta1ChainMatrix", "_parse_delta1", "_delta1_json"),
+    ("matrix", "exactlin", "Matrix", _parse_matrix_document, lambda m: {"entries": m}),
 )
 
-_PARSER_OF = {tag: parse for tag, _, _, parse, _ in _TYPES}
-_ROW_OF_CLASS = {(f"{__package__}.{module}", cls): (tag, to_json)
+_ROW_OF_TAG = {tag: (module, parse) for tag, module, _, parse, _ in _TYPES}
+_ROW_OF_CLASS = {(f"{__package__}.{module}", cls): (tag, module, to_json)
                  for tag, module, cls, _, to_json in _TYPES}
 
 _PASSTHROUGH_TYPES = ("report", "homology", "monodromy", "koszul_duality")
+
+
+def _codec(module: str, fn):
+    """A row's parser or serializer: fn itself, or the function named fn in
+    the row's module (imported by now when the object is of its class)."""
+    return fn if callable(fn) else getattr(import_module(f".{module}", __package__), fn)
 
 
 def _row_of(obj) -> Optional[Tuple[str, Callable]]:
@@ -776,7 +365,8 @@ def _row_of(obj) -> Optional[Tuple[str, Callable]]:
     for cls in type(obj).__mro__:
         row = _ROW_OF_CLASS.get((cls.__module__, cls.__qualname__))
         if row is not None:
-            return row
+            tag, module, to_json = row
+            return tag, _codec(module, to_json)
     return None
 
 
@@ -804,18 +394,54 @@ def parse_document(text: str, strict: bool = False, warn: Warn = None):
         raise DocumentError("missing or non-string 'type' field")
     if tag in _PASSTHROUGH_TYPES:
         return data
-    parser = _PARSER_OF.get(tag)
-    if parser is None:
+    row = _ROW_OF_TAG.get(tag)
+    if row is None:
         raise DocumentError(f"unknown document type {tag!r}")
     try:
-        return parser(data, ctx, "$")
+        return _codec(*row)(data, ctx, "$")
     except DimensionError as e:
         raise DocumentError(str(e))
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return obj
+# -- the writer -----------------------------------------------------------------
+
+_quote = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
+
+
+def _write(x, out: list, nl: Optional[str]) -> None:
+    """Append the JSON text of x to out.
+
+    The text is json.dumps(x, sort_keys=True)'s, with separators (",", ":")
+    when nl is None, and with indent=2 otherwise, where nl is a newline
+    followed by the indentation of x's own line.  Dict keys are strings.
+    A Matrix is written as its rows of rational strings, and an object
+    with a document type as that document.
+    """
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, Matrix):
+        _write_matrix(x, out, nl)
+    elif isinstance(x, (dict, list, tuple)):
+        brackets = "{}" if isinstance(x, dict) else "[]"
+        if not x:
+            out.append(brackets)
+            return
+        inner = None if nl is None else nl + "  "
+        colon = ":" if nl is None else ": "
+        items = ([(_quote(k) + colon, x[k]) for k in sorted(x)] if isinstance(x, dict)
+                 else [("", v) for v in x])
+        for i, (key, value) in enumerate(items):
+            out.append(("," if i else brackets[0]) + (inner or "") + key)
+            _write(value, out, inner)
+        out.append((nl or "") + brackets[1])
+    elif x is None or isinstance(x, (bool, int, float)):
+        out.append(json.dumps(x))
+    else:
+        _write(_document(x), out, nl)
+
+
+def _document(obj) -> dict:
+    """obj as its tagged document, whose values may still be objects."""
     row = _row_of(obj)
     if row is None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -823,8 +449,21 @@ def _to_jsonable(obj):
     return {"type": tag, **to_json(obj)}
 
 
+def _write_matrix(m: Matrix, out: list, nl: Optional[str]) -> None:
+    if not m.rows:
+        out.append("[]")
+    elif nl is None:
+        out.append("[[" + "],[".join(m.json_rows(",")) + "]]")
+    else:
+        row_nl = nl + "  "
+        cell_nl = row_nl + "  "
+        rows = (("[" + cell_nl + text + row_nl + "]" for text in m.json_rows("," + cell_nl))
+                if m.cols else ("[]" for _ in range(m.rows)))
+        out.append("[" + row_nl + ("," + row_nl).join(rows) + nl + "]")
+
+
 def serialize_document(obj, pretty: bool = False) -> str:
-    data = _to_jsonable(obj)
-    if pretty:
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    return json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
+    out = []
+    _write(obj if isinstance(obj, dict) else _document(obj), out, "\n" if pretty else None)
+    out.append("\n")
+    return "".join(out)

@@ -20,21 +20,23 @@ contributes the differential, with sign (+1)^0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .exactlin import DimensionError, Matrix
+from .record import Record
 from .chain import ChainComplex
+from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
+                        _parse_matrix, _req)
 
 
-@dataclass
-class SimplicialVS:
+class SimplicialVS(Record):
     """Simplicial vector space truncated at level n_max.
 
     faces[n] = (d_0, ..., d_n) for 1 <= n <= n_max, each X_n -> X_{n-1};
     degeneracies[n] = (s_0, ..., s_n) for 0 <= n < n_max, each X_n -> X_{n+1}.
     """
 
+    __slots__ = ("n_max", "dims", "faces", "degeneracies")
     n_max: int
     dims: Tuple[int, ...]
     faces: Dict[int, Tuple[Matrix, ...]]
@@ -225,3 +227,51 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
             ops.append(structure_map(n, sigma))
         degeneracies[n] = tuple(ops)
     return SimplicialVS(N, tuple(dims), faces, degeneracies)
+
+# -- document codecs (rows of documents._TYPES) ---------------------------------
+
+def _parse_simplicial(d: dict, ctx: _Ctx, path: str) -> SimplicialVS:
+    N = _as_int(_req(d, "N", path), f"{path}.N")
+    if N < 0:
+        raise DocumentError("N must be nonnegative", f"{path}.N")
+    dims_raw = _as_list(_req(d, "dims", path), f"{path}.dims")
+    if len(dims_raw) != N + 1:
+        raise DocumentError("dims must list X_0..X_N", f"{path}.dims")
+    dims = tuple(_check_dim(_as_int(x, f"{path}.dims[{i}]"), f"{path}.dims[{i}]", ctx.cap)
+                 for i, x in enumerate(dims_raw))
+
+    def parse_ops(field: str, valid_levels, rows_at, cols_at):
+        table = _as_dict(_req(d, field, path), f"{path}.{field}") if valid_levels else {}
+        out = {}
+        for nkey, ops in table.items():
+            try:
+                n = int(nkey)
+            except ValueError:
+                raise DocumentError(f"bad level key {nkey!r}", f"{path}.{field}")
+            if n not in valid_levels:
+                raise DocumentError(f"level {n} out of range", f"{path}.{field}")
+            ops = _as_list(ops, f"{path}.{field}.{nkey}")
+            if len(ops) != n + 1:
+                raise DocumentError(f"level {n} needs {n + 1} maps",
+                                    f"{path}.{field}.{nkey}")
+            out[n] = tuple(
+                _parse_matrix(m, ctx, f"{path}.{field}.{nkey}[{i}]",
+                              rows=rows_at(n), cols=cols_at(n))
+                for i, m in enumerate(ops))
+        return out
+
+    faces = parse_ops("faces", range(1, N + 1),
+                      lambda n: dims[n - 1], lambda n: dims[n])
+    degeneracies = parse_ops("degeneracies", range(N),
+                             lambda n: dims[n + 1], lambda n: dims[n])
+    try:
+        return SimplicialVS(N, dims, faces, degeneracies)
+    except DimensionError as e:
+        raise DocumentError(str(e), path)
+
+
+def _simplicial_json(X) -> dict:
+    def ops(table):
+        return {str(n): maps for n, maps in table.items()}
+    return {"N": X.n_max, "dims": list(X.dims),
+            "faces": ops(X.faces), "degeneracies": ops(X.degeneracies)}

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -55,6 +55,16 @@ def rat_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _entry_str(x: int, d: int) -> str:
+    """The rational x / d as `rat_str` spells it."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+# small ints as JSON strings, '"n"', so writing a small entry builds no string
+_QUOTED = {n: f'"{n}"' for n in range(-256, 257)}
 
 
 def _gauss_jordan(a: List[list]) -> Tuple[List[int], int]:
@@ -241,14 +251,22 @@ class Matrix:
     def to_str_lists(self) -> list:
         """Rows of canonical 'p' / 'p/q' strings, as `rat_str` spells them."""
         e, c, d = self._e, self.cols, self._d
-        if d == 1:
-            flat = [str(x) for x in e]
-        else:
-            flat = []
-            for x in e:
-                g = gcd(x, d)
-                flat.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+        flat = [str(x) for x in e] if d == 1 else [_entry_str(x, d) for x in e]
         return [flat[i * c:(i + 1) * c] for i in range(self.rows)]
+
+    def json_rows(self, sep: str) -> Iterator[str]:
+        """Each row as JSON text: its entries as JSON strings, '"p"' or
+        '"p/q"' as `rat_str` spells them, joined by sep."""
+        e, c, d = self._e, self.cols, self._d
+        if d != 1:
+            cells = ['"' + _entry_str(x, d) + '"' for x in e]
+        else:
+            try:
+                cells = [_QUOTED[x] for x in e]
+            except KeyError:  # an entry outside the table
+                cells = [_QUOTED.get(x) or f'"{x}"' for x in e]
+        for i in range(self.rows):
+            yield sep.join(cells[i * c:(i + 1) * c])
 
     # -- algebra ----------------------------------------------------------
 

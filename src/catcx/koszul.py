@@ -34,13 +34,16 @@ mean a sign error in one of the two conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Dict, List, Sequence, Tuple
 
-from .exactlin import DimensionError, Matrix, rat
+from .exactlin import DimensionError, Matrix, rat, rat_str
+from .record import Record
 from .chain import ChainComplex
+from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_int, _as_list,
+                        _check_dim, _req, parse_rational)
 
 Vec = Tuple[Fraction, ...]
 
@@ -237,8 +240,8 @@ def subset_order(n: int, k: int) -> List[Tuple[int, ...]]:
     return out
 
 
-@dataclass
-class FreeKoszulComplex:
+class FreeKoszulComplex(Record):
+    __slots__ = ("algebra", "lambdas", "basis", "sym_d")
     algebra: FDAlgebra
     lambdas: Tuple[Vec, ...]
     basis: Tuple[Tuple[Tuple[int, ...], ...], ...]  # basis[k] = subsets at degree k
@@ -288,11 +291,11 @@ def shuffle_sign(comp: Sequence[int], S: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-@dataclass
-class KoszulDuality:
+class KoszulDuality(Record):
     """Verified chain isomorphism from the reindexed dual of K onto
     K(lambdas reversed).  maps[i] sends dual degree i to target degree i."""
 
+    __slots__ = ("source", "target", "maps")
     source: FreeKoszulComplex
     target: FreeKoszulComplex
     maps: Dict[int, RMatrix]
@@ -374,3 +377,74 @@ def variable_element(algebra_basis: List[Tuple[int, ...]], var: int) -> List[Fra
     target = tuple(1 if i == var else 0 for i in range(len(algebra_basis[0])))
     coeffs[algebra_basis.index(target)] = Fraction(1)
     return coeffs
+
+# -- document codecs (rows of documents._TYPES) ---------------------------------
+
+class KoszulSpec(Record):
+    """Parsed but not yet verified Koszul input (algebra + lambda vectors)."""
+
+    __slots__ = ("algebra", "lambdas")
+    algebra: FDAlgebra
+    lambdas: Tuple[Tuple[Fraction, ...], ...]
+
+
+def _parse_fd_algebra(d: dict, ctx: _Ctx, path: str) -> FDAlgebra:
+    m = _check_dim(_as_int(_req(d, "dim", path), f"{path}.dim"), f"{path}.dim", ctx.cap)
+    structure_raw = _as_list(_req(d, "structure", path), f"{path}.structure")
+    if len(structure_raw) != m:
+        raise DocumentError("structure must have dim planes", f"{path}.structure")
+    structure = []
+    for i, plane in enumerate(structure_raw):
+        plane = _as_list(plane, f"{path}.structure[{i}]")
+        if len(plane) != m:
+            raise DocumentError("plane has wrong size", f"{path}.structure[{i}]")
+        prow = []
+        for j, row in enumerate(plane):
+            row = _as_list(row, f"{path}.structure[{i}][{j}]")
+            if len(row) != m:
+                raise DocumentError("row has wrong size", f"{path}.structure[{i}][{j}]")
+            prow.append(tuple(parse_rational(x, ctx.strict, ctx.warn,
+                                             f"{path}.structure[{i}][{j}][{k}]")
+                              for k, x in enumerate(row)))
+        structure.append(tuple(prow))
+    unit_raw = _as_list(_req(d, "unit", path), f"{path}.unit")
+    if len(unit_raw) != m:
+        raise DocumentError("unit vector has wrong length", f"{path}.unit")
+    unit = tuple(parse_rational(x, ctx.strict, ctx.warn, f"{path}.unit[{k}]")
+                 for k, x in enumerate(unit_raw))
+    return FDAlgebra(m, tuple(structure), unit)
+
+
+def _parse_koszul(d: dict, ctx: _Ctx, path: str) -> KoszulSpec:
+    alg = _parse_fd_algebra(_as_dict(_req(d, "algebra", path), f"{path}.algebra"),
+                            ctx, f"{path}.algebra")
+    lams_raw = _as_list(_req(d, "lambdas", path), f"{path}.lambdas")
+    # K has C(n, k) * dim basis vectors in degree k, most at k = n // 2
+    n = len(lams_raw)
+    largest = comb(n, n // 2) * alg.dim
+    if largest > ctx.cap:
+        raise DocumentError(f"{n} lambdas over a {alg.dim}-dimensional algebra imply a "
+                            f"degree of dimension {largest}, which exceeds "
+                            f"{MAX_DIM_ENV}={ctx.cap}", f"{path}.lambdas")
+    lams = []
+    for i, lam in enumerate(lams_raw):
+        lam = _as_list(lam, f"{path}.lambdas[{i}]")
+        if len(lam) != alg.dim:
+            raise DocumentError("lambda vector has wrong length", f"{path}.lambdas[{i}]")
+        lams.append(tuple(parse_rational(x, ctx.strict, ctx.warn,
+                                         f"{path}.lambdas[{i}][{k}]")
+                          for k, x in enumerate(lam)))
+    return KoszulSpec(alg, tuple(lams))
+
+
+def _fd_algebra_json(A) -> dict:
+    return {"dim": A.dim,
+            "structure": [[[rat_str(x) for x in row] for row in plane]
+                          for plane in A.structure],
+            "unit": [rat_str(x) for x in A.unit]}
+
+
+def _koszul_json(K) -> dict:
+    """Koszul inputs and built Koszul complexes alike."""
+    return {"algebra": K.algebra,
+            "lambdas": [[rat_str(x) for x in lam] for lam in K.lambdas]}

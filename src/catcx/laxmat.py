@@ -34,20 +34,22 @@ their pushouts, whose dimensions are all the interchange needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
+from .record import Record
 from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_complex, direct_sum,
                     euler_characteristic, identity_map, inclusion, projection, shift,
                     tensor, tensor_blocks, tensor_map, tensor_map_comps, unit_complex,
                     validate_complex, zero_complex)
+from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
+                        _components_json, _parse_chain_complex, _parse_components, _req)
 
 
 # -- finite posets and the K_0 shadow ----------------------------------------
 
-@dataclass(frozen=True)
-class FinPoset:
+class FinPoset(Record):
+    __slots__ = ("labels", "leq")
     labels: Tuple[str, ...]
     leq: Tuple[Tuple[bool, ...], ...]
 
@@ -157,10 +159,10 @@ def k0_compose(N: IntMatrix, M: IntMatrix, middle: FinPoset) -> IntMatrix:
 
 # -- spans and homotopy pushouts ----------------------------------------------
 
-@dataclass
-class Span:
+class Span(Record):
     """B <-- left -- apex -- right --> C."""
 
+    __slots__ = ("left", "right")
     left: ChainMap
     right: ChainMap
 
@@ -173,8 +175,8 @@ class Span:
         return self.left.source
 
 
-@dataclass
-class Pushout:
+class Pushout(Record):
+    __slots__ = ("span", "cx", "from_left", "from_right")
     span: Span
     cx: ChainComplex
     from_left: ChainMap   # B -> cx
@@ -340,14 +342,14 @@ def tensor_cone_right(push: Pushout, K: ChainComplex) -> Tuple[Pushout, ChainMap
 
 # -- Delta^1 chain matrices ----------------------------------------------------
 
-@dataclass
-class Delta1ChainMatrix:
+class Delta1ChainMatrix(Record):
     """2x2 chain matrix over gluing complexes g_src (source side) and g_tgt.
 
     entries[(t, s)] is the complex in row t, column s.  The four structure
     cells are chain maps; see the module docstring for their shapes.
     """
 
+    __slots__ = ("g_src", "g_tgt", "entries", "cell_f0", "cell_0f", "cell_f1", "cell_1f")
     g_src: ChainComplex
     g_tgt: ChainComplex
     entries: Dict[Tuple[int, int], ChainComplex]
@@ -528,3 +530,101 @@ def fib(f: ChainMap) -> Tuple[ChainComplex, ChainMap]:
 def fib_action(f: ChainMap) -> ChainMap:
     """(a -> b) becomes the canonical fib(f) -> a."""
     return fib(f)[1]
+
+# -- document codecs (rows of documents._TYPES) ---------------------------------
+
+def _parse_fin_poset(d: dict, ctx: _Ctx, path: str) -> FinPoset:
+    labels_raw = _as_list(_req(d, "labels", path), f"{path}.labels")
+    labels = []
+    for i, s in enumerate(labels_raw):
+        if not isinstance(s, str):
+            raise DocumentError("labels must be strings", f"{path}.labels[{i}]")
+        labels.append(s)
+    if len(set(labels)) != len(labels):
+        raise DocumentError("labels must be distinct", f"{path}.labels")
+    _check_dim(len(labels), f"{path}.labels", ctx.cap)
+    leq_raw = _as_list(_req(d, "leq", path), f"{path}.leq")
+    if len(leq_raw) != len(labels):
+        raise DocumentError("leq must be square over the labels", f"{path}.leq")
+    leq = []
+    for i, row in enumerate(leq_raw):
+        row = _as_list(row, f"{path}.leq[{i}]")
+        if len(row) != len(labels):
+            raise DocumentError("leq must be square over the labels", f"{path}.leq[{i}]")
+        for j, v in enumerate(row):
+            if not isinstance(v, bool):
+                raise DocumentError("leq entries must be booleans", f"{path}.leq[{i}][{j}]")
+        leq.append(tuple(row))
+    return FinPoset(tuple(labels), tuple(leq))
+
+
+def _parse_int_matrix(d: dict, ctx: _Ctx, path: str) -> IntMatrix:
+    rl = _as_list(_req(d, "row_labels", path), f"{path}.row_labels")
+    cl = _as_list(_req(d, "col_labels", path), f"{path}.col_labels")
+    for i, s in enumerate(rl + cl):
+        if not isinstance(s, str):
+            raise DocumentError("labels must be strings", path)
+    _check_dim(len(rl), f"{path}.row_labels", ctx.cap)
+    _check_dim(len(cl), f"{path}.col_labels", ctx.cap)
+    ent_raw = _as_list(_req(d, "entries", path), f"{path}.entries")
+    if len(ent_raw) != len(rl):
+        raise DocumentError("entry rows do not match row_labels", f"{path}.entries")
+    ent = []
+    for i, row in enumerate(ent_raw):
+        row = _as_list(row, f"{path}.entries[{i}]")
+        if len(row) != len(cl):
+            raise DocumentError("entry row width does not match col_labels",
+                                f"{path}.entries[{i}]")
+        ent.append([_as_int(x, f"{path}.entries[{i}][{j}]") for j, x in enumerate(row)])
+    return IntMatrix(rl, cl, ent)
+
+
+def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
+    g_src = _parse_chain_complex(_as_dict(_req(d, "g_src", path), f"{path}.g_src"),
+                                 ctx, f"{path}.g_src")
+    g_tgt = _parse_chain_complex(_as_dict(_req(d, "g_tgt", path), f"{path}.g_tgt"),
+                                 ctx, f"{path}.g_tgt")
+    entries = {}
+    ent_raw = _as_dict(_req(d, "entries", path), f"{path}.entries")
+    for t in (0, 1):
+        for s in (0, 1):
+            key = f"{t},{s}"
+            if key not in ent_raw:
+                raise DocumentError(f"missing entry {key!r}", f"{path}.entries")
+            entries[(t, s)] = _parse_chain_complex(
+                _as_dict(ent_raw[key], f"{path}.entries.{key}"), ctx,
+                f"{path}.entries.{key}")
+    cells_raw = _as_dict(_req(d, "cells", path), f"{path}.cells")
+    shapes = {
+        "f0": (tensor(g_tgt, entries[(0, 0)]), entries[(1, 0)]),
+        "0f": (tensor(entries[(0, 1)], g_src), entries[(0, 0)]),
+        "f1": (tensor(g_tgt, entries[(0, 1)]), entries[(1, 1)]),
+        "1f": (tensor(entries[(1, 1)], g_src), entries[(1, 0)]),
+    }
+    cells = {}
+    for name, (src, tgt) in shapes.items():
+        if name not in cells_raw:
+            raise DocumentError(f"missing cell {name!r}", f"{path}.cells")
+        comps = _parse_components(cells_raw[name], src, tgt, ctx, f"{path}.cells.{name}")
+        cells[name] = ChainMap(src, tgt, comps)
+    return Delta1ChainMatrix(g_src, g_tgt, entries,
+                             cell_f0=cells["f0"], cell_0f=cells["0f"],
+                             cell_f1=cells["f1"], cell_1f=cells["1f"])
+
+
+def _delta1_json(N) -> dict:
+    return {"g_src": N.g_src, "g_tgt": N.g_tgt,
+            "entries": {f"{t},{s}": N.entry(t, s)
+                        for t in (0, 1) for s in (0, 1)},
+            "cells": {"f0": _components_json(N.cell_f0.comps),
+                      "0f": _components_json(N.cell_0f.comps),
+                      "f1": _components_json(N.cell_f1.comps),
+                      "1f": _components_json(N.cell_1f.comps)}}
+
+
+def _fin_poset_json(P) -> dict:
+    return {"labels": P.labels, "leq": P.leq}
+
+
+def _int_matrix_json(M) -> dict:
+    return {"row_labels": M.row_labels, "col_labels": M.col_labels, "entries": M.entries}

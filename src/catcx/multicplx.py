@@ -22,6 +22,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .chain import ChainComplex, ChainMap, cone
+from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
+                        _components_json, _parse_chain_complex, _parse_components,
+                        _parse_matrix, _parse_subset, _req, _subset_key)
 
 
 MultiDeg = Tuple[int, ...]
@@ -327,3 +330,100 @@ def cube_from_multicomplex(M: MultiComplex) -> ChainCube:
             tgt = vertices[J - {i}]
             edges[i][J] = ChainMap(src, tgt, {0: M.d(i, a)})
     return ChainCube(M.n, vertices, edges)
+
+# -- document codecs (rows of documents._TYPES) ---------------------------------
+
+def _deg_key(a: Tuple[int, ...]) -> str:
+    return ",".join(str(x) for x in a)
+
+
+def _parse_deg(key: str, n: int, path: str) -> Tuple[int, ...]:
+    parts = key.split(",")
+    if len(parts) != n:
+        raise DocumentError(f"multidegree {key!r} needs {n} entries", path)
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise DocumentError(f"bad multidegree key {key!r}", path)
+
+
+def _parse_multicomplex(d: dict, ctx: _Ctx, path: str) -> MultiComplex:
+    n = _as_int(_req(d, "n", path), f"{path}.n")
+    if n < 1:
+        raise DocumentError("n must be at least 1", f"{path}.n")
+    sup = _as_dict(_req(d, "support", path), f"{path}.support")
+    lo = [_as_int(x, f"{path}.support.lo") for x in _as_list(_req(sup, "lo", f"{path}.support"), f"{path}.support.lo")]
+    hi = [_as_int(x, f"{path}.support.hi") for x in _as_list(_req(sup, "hi", f"{path}.support"), f"{path}.support.hi")]
+    if len(lo) != n or len(hi) != n:
+        raise DocumentError("support bounds must have one entry per axis", f"{path}.support")
+    dims = {}
+    for key, v in _as_dict(_req(d, "dims", path), f"{path}.dims").items():
+        a = _parse_deg(key, n, f"{path}.dims")
+        dims[a] = _check_dim(_as_int(v, f"{path}.dims.{key}"), f"{path}.dims.{key}", ctx.cap)
+    probe = MultiComplex(n, lo, hi, dims)
+    diffs: Dict[int, Dict[Tuple[int, ...], Matrix]] = {}
+    for axkey, table in _as_dict(d.get("differentials", {}), f"{path}.differentials").items():
+        try:
+            j = int(axkey)
+        except ValueError:
+            raise DocumentError(f"bad axis key {axkey!r}", f"{path}.differentials")
+        if not (1 <= j <= n):
+            raise DocumentError(f"axis {j} out of range", f"{path}.differentials")
+        diffs[j] = {}
+        for key, mat in _as_dict(table, f"{path}.differentials.{axkey}").items():
+            a = _parse_deg(key, n, f"{path}.differentials.{axkey}")
+            b = tuple(x - (1 if t == j - 1 else 0) for t, x in enumerate(a))
+            diffs[j][a] = _parse_matrix(mat, ctx, f"{path}.differentials.{axkey}.{key}",
+                                        rows=probe.dim(b), cols=probe.dim(a))
+    return MultiComplex(n, lo, hi, dims, diffs)
+
+
+def _parse_chain_cube(d: dict, ctx: _Ctx, path: str) -> ChainCube:
+    n = _as_int(_req(d, "n", path), f"{path}.n")
+    vertices = {}
+    for key, v in _as_dict(_req(d, "vertices", path), f"{path}.vertices").items():
+        J = _parse_subset(key, f"{path}.vertices")
+        vertices[J] = _parse_chain_complex(_as_dict(v, f"{path}.vertices.{key}"),
+                                           ctx, f"{path}.vertices.{key}")
+    edges: Dict[int, Dict[frozenset, ChainMap]] = {}
+    for axkey, table in _as_dict(_req(d, "edges", path), f"{path}.edges").items():
+        try:
+            i = int(axkey)
+        except ValueError:
+            raise DocumentError(f"bad axis key {axkey!r}", f"{path}.edges")
+        edges[i] = {}
+        for key, comps in _as_dict(table, f"{path}.edges.{axkey}").items():
+            J = _parse_subset(key, f"{path}.edges.{axkey}")
+            if J not in vertices or (J - {i}) not in vertices:
+                raise DocumentError(f"edge at {key!r} references missing vertices",
+                                    f"{path}.edges.{axkey}")
+            cm = _parse_components(comps, vertices[J], vertices[J - {i}], ctx,
+                                   f"{path}.edges.{axkey}.{key}")
+            edges[i][J] = ChainMap(vertices[J], vertices[J - {i}], cm)
+    try:
+        return ChainCube(n, vertices, edges)
+    except DimensionError as e:
+        raise DocumentError(str(e), path)
+
+
+def _multicomplex_json(M) -> dict:
+    diffs = {}
+    for j in range(1, M.n + 1):
+        table = {}
+        for a, m in M.diffs.get(j, {}).items():
+            if m.rows and m.cols:
+                table[_deg_key(a)] = m
+        if table:
+            diffs[str(j)] = table
+    return {"n": M.n, "support": {"lo": list(M.lo), "hi": list(M.hi)},
+            "dims": {_deg_key(a): v for a, v in M.dims.items()},
+            "differentials": diffs}
+
+
+def _chain_cube_json(Q) -> dict:
+    edges = {}
+    for i in range(1, Q.n + 1):
+        edges[str(i)] = {_subset_key(J): _components_json(e.comps)
+                         for J, e in Q.edges[i].items()}
+    return {"n": Q.n, "vertices": {_subset_key(J): v for J, v in Q.vertices.items()},
+            "edges": edges}

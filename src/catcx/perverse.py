@@ -27,15 +27,18 @@ replays every axiom from scratch, so a single tampered entry is caught.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
 from .exactlin import DimensionError, Matrix
+from .record import Record
 from .chain import ChainComplex, ChainMap, ChainHomotopy, validate_complex
+from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
+                        _components_json, _parse_chain_complex, _parse_components,
+                        _parse_matrix, _parse_subset, _req, _subset_key)
 
 
-@dataclass(frozen=True)
-class PervDisk:
+class PervDisk(Record):
+    __slots__ = ("f", "g")
     f: Matrix  # Phi -> Psi
     g: Matrix  # Psi -> Phi
 
@@ -80,10 +83,10 @@ def amalgamate(P: PervDisk, Q: PervDisk) -> PervDisk:
     return PervDisk(f_new, g_new)
 
 
-@dataclass(frozen=True)
-class PervFlag:
+class PervFlag(Record):
     """Spaces A_0..A_n; d[k]: A_k -> A_{k+1}, delta[k]: A_{k+1} -> A_k."""
 
+    __slots__ = ("dims", "d", "delta")
     dims: Tuple[int, ...]
     d: Tuple[Matrix, ...]
     delta: Tuple[Matrix, ...]
@@ -155,10 +158,10 @@ def flag_to_disk(P: PervFlag) -> PervDisk:
 Subset = FrozenSet[int]
 
 
-@dataclass
-class PervCube:
+class PervCube(Record):
     """n-cube model; keys of dims are frozensets of {1..n}."""
 
+    __slots__ = ("n", "dims", "f", "g")
     n: int
     dims: Dict[Subset, int]
     f: Dict[int, Dict[Subset, Matrix]]  # f[i][J]: V_{J+i} -> V_J   (i not in J)
@@ -259,10 +262,10 @@ def flag_embed_cube(P: PervFlag) -> PervCube:
     return PervCube(n, dims, f, g)
 
 
-@dataclass(frozen=True)
-class LocalStar:
+class LocalStar(Record):
     """One Phi, cyclically indexed Psi_1..Psi_n."""
 
+    __slots__ = ("f", "g")
     f: Tuple[Matrix, ...]  # f[i]: Phi -> Psi_{i+1}
     g: Tuple[Matrix, ...]  # g[i]: Psi_{i+1} -> Phi
 
@@ -308,8 +311,7 @@ def validate_local_star(P: LocalStar) -> List[str]:
 
 # -- sheaf-style encodings ----------------------------------------------------
 
-@dataclass
-class SheafEncoding:
+class SheafEncoding(Record):
     """Stalk complexes with comparison maps, monodromies and homotopies.
 
     maps[i] goes stalks[i] -> stalks[i+1] when dual is False (restriction)
@@ -320,6 +322,7 @@ class SheafEncoding:
     stratum.
     """
 
+    __slots__ = ("dual", "stalks", "maps", "monodromies", "homotopies")
     dual: bool
     stalks: List[ChainComplex]
     maps: List[ChainMap]
@@ -443,3 +446,133 @@ def verify_encoding(E: SheafEncoding) -> List[str]:
             if want != got:
                 report.append(f"homotopy {i} fails at degree {k}")
     return report
+
+# -- document codecs (rows of documents._TYPES) ---------------------------------
+
+def _parse_perv_disk(d: dict, ctx: _Ctx, path: str) -> PervDisk:
+    f = _parse_matrix(_req(d, "f", path), ctx, f"{path}.f")
+    g = _parse_matrix(_req(d, "g", path), ctx, f"{path}.g",
+                      rows=f.cols, cols=f.rows)
+    return PervDisk(f, g)
+
+
+def _parse_perv_flag(d: dict, ctx: _Ctx, path: str) -> PervFlag:
+    dims_raw = _as_list(_req(d, "dims", path), f"{path}.dims")
+    if not dims_raw:
+        raise DocumentError("dims must be nonempty", f"{path}.dims")
+    dims = tuple(_check_dim(_as_int(x, f"{path}.dims[{i}]"), f"{path}.dims[{i}]", ctx.cap)
+                 for i, x in enumerate(dims_raw))
+    n = len(dims) - 1
+    d_raw = _as_list(_req(d, "d", path), f"{path}.d")
+    delta_raw = _as_list(_req(d, "delta", path), f"{path}.delta")
+    if len(d_raw) != n or len(delta_raw) != n:
+        raise DocumentError(f"need exactly {n} maps in d and delta", path)
+    ds = tuple(_parse_matrix(m, ctx, f"{path}.d[{k}]", rows=dims[k + 1], cols=dims[k])
+               for k, m in enumerate(d_raw))
+    deltas = tuple(_parse_matrix(m, ctx, f"{path}.delta[{k}]",
+                                 rows=dims[k], cols=dims[k + 1])
+                   for k, m in enumerate(delta_raw))
+    return PervFlag(dims, ds, deltas)
+
+
+def _parse_perv_cube(d: dict, ctx: _Ctx, path: str) -> PervCube:
+    n = _as_int(_req(d, "n", path), f"{path}.n")
+    if n < 1:
+        raise DocumentError("n must be at least 1", f"{path}.n")
+    dims = {}
+    for key, v in _as_dict(_req(d, "dims", path), f"{path}.dims").items():
+        J = _parse_subset(key, f"{path}.dims")
+        dims[J] = _check_dim(_as_int(v, f"{path}.dims.{key}"), f"{path}.dims.{key}", ctx.cap)
+
+    def dim_of(J) -> int:
+        return dims.get(frozenset(J), 0)
+
+    def parse_side(field: str, rows_of, cols_of):
+        out: Dict[int, Dict[frozenset, Matrix]] = {}
+        for axkey, table in _as_dict(_req(d, field, path), f"{path}.{field}").items():
+            try:
+                i = int(axkey)
+            except ValueError:
+                raise DocumentError(f"bad axis key {axkey!r}", f"{path}.{field}")
+            out[i] = {}
+            for key, mat in _as_dict(table, f"{path}.{field}.{axkey}").items():
+                J = _parse_subset(key, f"{path}.{field}.{axkey}")
+                out[i][J] = _parse_matrix(mat, ctx, f"{path}.{field}.{axkey}.{key}",
+                                          rows=rows_of(i, J), cols=cols_of(i, J))
+        return out
+
+    f = parse_side("f", lambda i, J: dim_of(J), lambda i, J: dim_of(J | {i}))
+    g = parse_side("g", lambda i, J: dim_of(J | {i}), lambda i, J: dim_of(J))
+    return PervCube(n, dims, f, g)
+
+
+def _parse_local_star(d: dict, ctx: _Ctx, path: str) -> LocalStar:
+    f_raw = _as_list(_req(d, "f", path), f"{path}.f")
+    g_raw = _as_list(_req(d, "g", path), f"{path}.g")
+    if not f_raw or len(f_raw) != len(g_raw):
+        raise DocumentError("f and g must be nonempty lists of equal length", path)
+    fs = [_parse_matrix(m, ctx, f"{path}.f[{i}]") for i, m in enumerate(f_raw)]
+    gs = [_parse_matrix(m, ctx, f"{path}.g[{i}]",
+                        rows=fs[i].cols, cols=fs[i].rows)
+          for i, m in enumerate(g_raw)]
+    return LocalStar(tuple(fs), tuple(gs))
+
+
+def _parse_sheaf_encoding(d: dict, ctx: _Ctx, path: str) -> SheafEncoding:
+    dual = _req(d, "dual", path)
+    if not isinstance(dual, bool):
+        raise DocumentError("dual must be a boolean", f"{path}.dual")
+    stalks = [
+        _parse_chain_complex(_as_dict(s, f"{path}.stalks[{i}]"), ctx, f"{path}.stalks[{i}]")
+        for i, s in enumerate(_as_list(_req(d, "stalks", path), f"{path}.stalks"))
+    ]
+    if not stalks:
+        raise DocumentError("need at least one stalk", f"{path}.stalks")
+    m = len(stalks) - 1
+    maps_raw = _as_list(_req(d, "maps", path), f"{path}.maps")
+    mono_raw = _as_list(_req(d, "monodromies", path), f"{path}.monodromies")
+    homo_raw = _as_list(_req(d, "homotopies", path), f"{path}.homotopies")
+    if len(maps_raw) != m or len(mono_raw) != m or len(homo_raw) != m:
+        raise DocumentError(f"need exactly {m} maps, monodromies and homotopies", path)
+    maps = []
+    monos = []
+    homos = []
+    for i in range(m):
+        if dual:
+            src, tgt = stalks[i + 1], stalks[i]
+        else:
+            src, tgt = stalks[i], stalks[i + 1]
+        maps.append(ChainMap(src, tgt, _parse_components(
+            maps_raw[i], src, tgt, ctx, f"{path}.maps[{i}]")))
+        monos.append(ChainMap(stalks[i + 1], stalks[i + 1], _parse_components(
+            mono_raw[i], stalks[i + 1], stalks[i + 1], ctx, f"{path}.monodromies[{i}]")))
+        homos.append(ChainHomotopy(src, tgt, _parse_components(
+            homo_raw[i], src, tgt, ctx, f"{path}.homotopies[{i}]", degree_shift=1)))
+    return SheafEncoding(dual, stalks, maps, monos, homos)
+
+
+def _perv_cube_json(P) -> dict:
+    def side(table):
+        return {str(i): {_subset_key(J): m for J, m in sub.items()}
+                for i, sub in table.items()}
+    return {"n": P.n, "dims": {_subset_key(J): v for J, v in P.dims.items()},
+            "f": side(P.f), "g": side(P.g)}
+
+
+def _sheaf_encoding_json(E) -> dict:
+    return {"dual": E.dual, "stalks": E.stalks,
+            "maps": [_components_json(m.comps) for m in E.maps],
+            "monodromies": [_components_json(m.comps) for m in E.monodromies],
+            "homotopies": [_components_json(h.comps) for h in E.homotopies]}
+
+
+def _perv_disk_json(P) -> dict:
+    return {"f": P.f, "g": P.g}
+
+
+def _perv_flag_json(P) -> dict:
+    return {"dims": P.dims, "d": P.d, "delta": P.delta}
+
+
+def _local_star_json(S) -> dict:
+    return {"f": S.f, "g": S.g}

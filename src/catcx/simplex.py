@@ -21,10 +21,10 @@ that normalization.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List
 
 from .exactlin import DimensionError, Matrix
+from .record import Record
 from .chain import (ChainComplex, ChainHomotopy, ChainMap, check_homotopy, cone,
                     validate_complex)
 
@@ -64,14 +64,14 @@ def linear_cochain(n: int, dim_v: int) -> ChainComplex:
     return ChainComplex(-n, 0, dims, diffs)
 
 
-@dataclass
-class CC2Level1:
+class CC2Level1(Record):
     """The three cones over a composable pair, with comparison maps.
 
     p: y01 -> y02 and q: y02 -> y12 are the functorial cone maps and h is
     a null-homotopy of q p (check_homotopy(0, q p, h) holds).
     """
 
+    __slots__ = ("y01", "y02", "y12", "p", "q", "h")
     y01: ChainComplex
     y02: ChainComplex
     y12: ChainComplex
@@ -80,8 +80,8 @@ class CC2Level1:
     h: ChainHomotopy
 
 
-@dataclass
-class CatCochain2Level:
+class CatCochain2Level(Record):
+    __slots__ = ("x0", "x1", "x2", "u", "v", "level1", "total")
     x0: ChainComplex
     x1: ChainComplex
     x2: ChainComplex

@@ -19,7 +19,7 @@ from catcx.chain import (ChainComplex, ChainMap, identity_map, tensor,
 from catcx.perverse import PervDisk, PervFlag, LocalStar, SheafEncoding
 from catcx.koszul import RMatrix
 from catcx.doldkan import SimplicialVS, gamma
-from catcx.laxmat import Delta1ChainMatrix, FinPoset
+from catcx.laxmat import Delta1ChainMatrix, FinPoset, assoc_inv
 from catcx.multicplx import MultiComplex
 
 
@@ -265,15 +265,36 @@ def same_up_to_padding(X: ChainComplex, Y: ChainComplex) -> bool:
 
 
 def random_lax_matrix(rng, style=None, g=None) -> Delta1ChainMatrix:
-    """Two families of valid Delta^1 chain matrices.
+    """Three families of valid Delta^1 chain matrices.
 
     'corner': E01 = 0, so the structure square is vacuous and the two
     remaining cells are free chain maps.  'augmented': every entry is a
     common complex E and all four cells are built from two augmentations
-    G -> Q, which satisfies the square by bifunctoriality.
+    G -> Q, which satisfies the square by bifunctoriality.  'spread': the
+    augmentations become chain maps phi: G -> U and psi: G -> V, and
+    E01 = E, E00 = E (x) V, E11 = U (x) E, E10 = (U (x) E) (x) V, with cells
+    phi (x) 1 and 1 (x) psi (rebracketed for f0); the square again holds by
+    bifunctoriality.  G, E, U and V are nonzero in degrees 0 and 1, so the
+    cells have odd-degree components and E01 feeds the apex of every
+    entry span.  With no style given, the draw is 'corner' or 'augmented'.
     """
     if style is None:
         style = rng.choice(("corner", "augmented"))
+    if style == "spread":
+        def two_term(top):
+            a, b = rng.randint(1, top), rng.randint(1, top)
+            return ChainComplex(0, 1, (a, b), {1: int_matrix(rng, a, b, 1)})
+        G = two_term(2) if g is None else g
+        E, U, V = two_term(1), two_term(1), two_term(1)
+        phi = random_chain_map(rng, G, U)
+        psi = random_chain_map(rng, G, V)
+        EV, UE = tensor(E, V), tensor(U, E)
+        entries = {(0, 0): EV, (0, 1): E, (1, 0): tensor(UE, V), (1, 1): UE}
+        cell_f0 = assoc_inv(U, E, V).compose(tensor_map(phi, identity_map(EV)))
+        cell_0f = tensor_map(identity_map(E), psi)
+        cell_f1 = tensor_map(phi, identity_map(E))
+        cell_1f = tensor_map(identity_map(UE), psi)
+        return Delta1ChainMatrix(G, G, entries, cell_f0, cell_0f, cell_f1, cell_1f)
     G = small_complex(rng, lo_range=(0, 1)) if g is None else g
     one = unit_complex()
     if style == "corner":
