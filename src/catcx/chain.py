@@ -18,17 +18,17 @@ outermost (Kronecker order).
 
 from __future__ import annotations
 
-from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
 
 
 class ChainComplex:
-    """Bounded complex; dims[i] is the dimension in degree lo + i."""
+    """Bounded complex; dims[i] is the dimension in degree lo + i, and
+    support lists the (degree, dimension) pairs of the nonzero degrees."""
 
-    __slots__ = ("lo", "hi", "dims", "diffs")
+    __slots__ = ("lo", "hi", "dims", "diffs", "support")
 
     def __init__(self, lo: int, hi: int, dims, diffs: Optional[Dict[int, Matrix]] = None):
         if hi < lo:
@@ -41,6 +41,7 @@ class ChainComplex:
         self.lo = lo
         self.hi = hi
         self.dims = dims
+        self.support = tuple((k, n) for k, n in zip(range(lo, hi + 1), dims) if n)
         full: Dict[int, Matrix] = {}
         diffs = diffs or {}
         for k in range(lo + 1, hi + 1):
@@ -149,7 +150,7 @@ class _Graded:
             cols = s_dims[k - s_lo] if s_lo <= k <= s_hi else 0
             m = comps.get(k)
             if m is None:
-                m = Matrix.zeros(rows, cols)
+                m = Matrix.zeros(rows, cols) if rows and cols else None
             elif (m.rows, m.cols) != (rows, cols):
                 raise DimensionError(
                     f"{self._what} at degree {k} has shape {m.rows}x{m.cols}, "
@@ -205,19 +206,17 @@ class ChainMap(_Graded):
         comps = {k: self.comps[k] * other.comps[k] for k in self.comps.keys() & other.comps.keys()}
         return ChainMap(other.source, self.target, comps)
 
-    def __add__(self, other: "ChainMap") -> "ChainMap":
+    def _combine(self, other: "ChainMap", op, what: str) -> "ChainMap":
         if self.source != other.source or self.target != other.target:
-            raise DimensionError("chain map addition: endpoints differ")
-        keys = set(self.comps) | set(other.comps)
+            raise DimensionError(f"chain map {what}: endpoints differ")
         return ChainMap(self.source, self.target,
-                        {k: self.f(k) + other.f(k) for k in keys})
+                        {k: op(self.f(k), other.f(k)) for k in self.comps.keys() | other.comps})
+
+    def __add__(self, other: "ChainMap") -> "ChainMap":
+        return self._combine(other, Matrix.__add__, "addition")
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
-        if self.source != other.source or self.target != other.target:
-            raise DimensionError("chain map subtraction: endpoints differ")
-        keys = set(self.comps) | set(other.comps)
-        return ChainMap(self.source, self.target,
-                        {k: self.f(k) - other.f(k) for k in keys})
+        return self._combine(other, Matrix.__sub__, "subtraction")
 
     def __neg__(self) -> "ChainMap":
         return ChainMap(self.source, self.target, {k: -m for k, m in self.comps.items()})
@@ -244,30 +243,27 @@ class ChainHomotopy(_Graded):
     h = _Graded._comp
 
 
+def homotopy_failures(f: ChainMap, g: ChainMap, h: ChainHomotopy) -> Iterator[int]:
+    """The degrees k, ascending, where g_k - f_k != d_{k+1} h_k + h_{k-1} d_k."""
+    A, B = f.source, f.target
+    for k in range(min(A.lo, B.lo), max(A.hi, B.hi) + 1):
+        if g.f(k) - f.f(k) != B.d(k + 1) * h.h(k) + h.h(k - 1) * A.d(k):
+            yield k
+
+
 def check_homotopy(f: ChainMap, g: ChainMap, h: ChainHomotopy) -> bool:
     """Exact check of g - f = d h + h d, degree by degree."""
     if f.source != g.source or f.target != g.target:
         raise DimensionError("homotopy check: maps have different endpoints")
     if h.source != f.source or h.target != f.target:
         raise DimensionError("homotopy check: homotopy endpoints differ from maps")
-    A, B = f.source, f.target
-    lo = min(A.lo, B.lo)
-    hi = max(A.hi, B.hi)
-    for k in range(lo, hi + 1):
-        lhs = g.f(k) - f.f(k)
-        rhs = B.d(k + 1) * h.h(k) + h.h(k - 1) * A.d(k)
-        if lhs != rhs:
-            return False
-    return True
+    return next(homotopy_failures(f, g, h), None) is None
 
 
 def homology_dims(C: ChainComplex) -> Dict[int, int]:
     """dim H_k = dim C_k - rank d_k - rank d_{k+1}."""
     ranks = {k: C.d(k).rank() for k in range(C.lo, C.hi + 2)}
-    out = {}
-    for k in C.degrees():
-        out[k] = C.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-    return out
+    return {k: C.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in C.degrees()}
 
 
 def is_acyclic(C: ChainComplex) -> bool:
@@ -316,15 +312,25 @@ def cone(f: ChainMap) -> Cone:
 
 def cone_complex(f: ChainMap) -> ChainComplex:
     """The complex of cone(f), without its structure maps."""
-    A, B = f.source, f.target
-    lo = min(A.lo + 1, B.lo)
-    hi = max(A.hi + 1, B.hi)
-    dims = tuple(A.dim(k - 1) + B.dim(k) for k in range(lo, hi + 1))
+    return sum_cone(f.source, [(f.target, f.comps, 1)])
+
+
+def sum_cone(A: ChainComplex, legs: List[tuple]) -> ChainComplex:
+    """The complex of cone(A -> T_1 (+) T_2 (+) ...) for legs (T_i, the
+    components of f_i: A -> T_i, sign_i), the map being (sign_i f_i): degree
+    k is A_{k-1} (+) T_1,k (+) ..., and d = [[-d_A, 0], [-sign_i f_i, d_T_i]]."""
+    lo = min(A.lo + 1, *(T.lo for T, _, _ in legs))
+    hi = max(A.hi + 1, *(T.hi for T, _, _ in legs))
+    dims = tuple(A.dim(k - 1) + sum(T.dim(k) for T, _, _ in legs) for k in range(lo, hi + 1))
     diffs = {}
     for k in range(lo + 1, hi + 1):
-        a0, a1 = A.dim(k - 2), A.dim(k - 1)
-        diffs[k] = Matrix.from_blocks(a0 + B.dim(k - 1), a1 + B.dim(k), [
-            (0, 0, -A.d(k - 1)), (a0, 0, -f.f(k - 1)), (a0, a1, B.d(k))])
+        blocks, r, c = [(0, 0, A.d(k - 1), -1, 1, 1)], A.dim(k - 2), A.dim(k - 1)
+        for T, comps, sign in legs:
+            if k - 1 in comps:
+                blocks.append((r, 0, comps[k - 1], -sign, 1, 1))
+            blocks.append((r, c, T.d(k)))
+            r, c = r + T.dim(k - 1), c + T.dim(k)
+        diffs[k] = Matrix.from_blocks(dims[k - 1 - lo], dims[k - lo], blocks)
     return ChainComplex(lo, hi, dims, diffs)
 
 
@@ -364,81 +370,57 @@ def projection(n: int, at: int, size: int) -> Matrix:
 
 # -- tensor product -----------------------------------------------------------
 
-def tensor_blocks(A: ChainComplex, B: ChainComplex, n: int) -> Tuple[Dict[int, int], int]:
-    """Starting index of each block A_i (x) B_{n-i} of (A (x) B)_n, keyed by
-    i (ascending, zero blocks included), and the dimension of (A (x) B)_n."""
-    a_lo, a_dims, b_lo, b_dims = A.lo, A.dims, B.lo, B.dims
-    off = {}
-    pos = 0
-    for i in range(max(a_lo, n - B.hi), min(A.hi, n - b_lo) + 1):
-        off[i] = pos
-        pos += a_dims[i - a_lo] * b_dims[n - i - b_lo]
-    return off, pos
+def block_table(As: Tuple[Tuple[int, int], ...], Bs: Tuple[Tuple[int, int], ...]
+                ) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int]]:
+    """For supports As, Bs (ascending (degree, dimension) pairs): the
+    dimension of (A (x) B)_n by degree n, nonzero ones only, and where each
+    block A_i (x) B_j starts inside degree i + j, by (i, j)."""
+    dim, off = {}, {}
+    for i, a in As:
+        for j, b in Bs:
+            off[i, j] = at = dim.get(i + j, 0)
+            dim[i + j] = at + a * b
+    return dim, off
 
 
 def tensor_dims(A: ChainComplex, B: ChainComplex) -> Dict[int, int]:
     """Dimension of (A (x) B)_n by degree n, from the dimensions alone."""
-    return {n: tensor_blocks(A, B, n)[1] for n in range(A.lo + B.lo, A.hi + B.hi + 1)}
+    dim = block_table(A.support, B.support)[0]
+    return {n: dim.get(n, 0) for n in range(A.lo + B.lo, A.hi + B.hi + 1)}
 
 
 def tensor(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     lo = A.lo + B.lo
     hi = A.hi + B.hi
-    offs = [tensor_blocks(A, B, n) for n in range(lo, hi + 1)]
-    dims = tuple(total for _, total in offs)
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        rows, cols = dims[n - 1 - lo], dims[n - lo]
-        if not rows * cols:
-            continue
-        tgt_off = offs[n - 1 - lo][0]
-        # d(a (x) b) = da (x) b + (-1)^i a (x) db, one (row, col, d, width, sign)
-        # per block term: sign 0 for da (x) 1_width, +-1 for +-1_width (x) db
-        terms = []
-        for i, c0 in offs[n - lo][0].items():
-            j = n - i
-            a, b = A.dim(i), B.dim(j)
-            if a * b and A.dim(i - 1):
-                terms.append((tgt_off[i - 1], c0, A.diffs[i], b, 0))
-            if a * b and B.dim(j - 1):
-                terms.append((tgt_off[i], c0, B.diffs[j], a, -1 if i % 2 else 1))
-        d = lcm(*[m._d for _, _, m, _, _ in terms])
-        ent = [0] * (rows * cols)
-        for r0, c0, m, w, sign in terms:
-            e, mr, mc, s = m._e, m.rows, m.cols, d // m._d
-            if not sign:
-                # da (x) 1_w: entry (p, q) of da runs down the diagonal from (p*w, q*w)
-                for p in range(mr):
-                    for q in range(mc):
-                        if e[p * mc + q]:
-                            at = (r0 + p * w) * cols + c0 + q * w
-                            ent[at:at + w * (cols + 1):cols + 1] = [e[p * mc + q] * s] * w
-            else:
-                # +-1_w (x) db: row r of db lands in row p*mr + r from column p*mc
-                s *= sign
-                for p in range(w):
-                    for r in range(mr):
-                        at = (r0 + p * mr + r) * cols + c0 + p * mc
-                        ent[at:at + mc] = [x * s for x in e[r * mc:(r + 1) * mc]]
-        diffs[n] = Matrix._of(rows, cols, ent, d)
-    return ChainComplex(lo, hi, dims, diffs)
+    dim, off = block_table(A.support, B.support)
+    # d(a (x) b) = da (x) b + (-1)^i a (x) db, blockwise da (x) 1 and +-1 (x) db
+    blocks = {}
+    for (i, j), c0 in off.items():
+        if (i - 1, j) in off:
+            blocks.setdefault(i + j, []).append(
+                (off[i - 1, j], c0, A.diffs[i], 1, 1, B.dims[j - B.lo]))
+        if (i, j - 1) in off:
+            blocks.setdefault(i + j, []).append(
+                (off[i, j - 1], c0, B.diffs[j], -1 if i % 2 else 1, A.dims[i - A.lo], 1))
+    diffs = {n: Matrix.from_blocks(dim[n - 1], dim[n], bl) for n, bl in blocks.items()}
+    return ChainComplex(lo, hi, tuple(dim.get(n, 0) for n in range(lo, hi + 1)), diffs)
 
 
 class TensorMemo:
-    """Tensor products of complexes, each built once per pair of operands.
+    """Tensor products, each built once per pair of operands, and block
+    tables, each computed once per pair of supports.
 
     Operands are keyed on object identity, which is sound only while they
     are alive and unchanged, so the memo holds a reference to each.  Make
     one per computation, pass it along explicitly, and let it go with the
-    computation; nothing is memoised at module level.  Block offsets
-    (`tensor_blocks`) are not memoised: they cost a pass over one degree's
-    window, and holding them doubled the peak memory of a lax composition.
+    computation; nothing is memoised at module level.
     """
 
-    __slots__ = ("_tensors",)
+    __slots__ = ("_tensors", "_tables")
 
     def __init__(self):
         self._tensors = {}
+        self._tables = {}
 
     def tensor(self, A: ChainComplex, B: ChainComplex) -> ChainComplex:
         key = (id(A), id(B))
@@ -447,48 +429,74 @@ class TensorMemo:
             hit = self._tensors[key] = (A, B, tensor(A, B))
         return hit[2]
 
-
-def tensor_map_comps(f: ChainMap, g: ChainMap) -> Dict[int, Matrix]:
-    """Components of f (x) g by degree, without building its source and
-    target complexes."""
-    A, B, C, D = f.source, g.source, f.target, g.target
-    comps = {}
-    for n in range(A.lo + B.lo, A.hi + B.hi + 1):
-        src_off, cols = tensor_blocks(A, B, n)
-        tgt_off, rows = tensor_blocks(C, D, n)
-        comps[n] = Matrix.from_blocks(rows, cols, [
-            (tgt_off[i], c0, f.comps[i].kron(g.comps[n - i]))
-            for i, c0 in src_off.items()
-            if i in tgt_off and i in f.comps and n - i in g.comps])
-    return comps
+    def table(self, As: tuple, Bs: tuple) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int]]:
+        """`block_table(As, Bs)`, computed once per memo."""
+        hit = self._tables.get((As, Bs))
+        if hit is None:
+            hit = self._tables[As, Bs] = block_table(As, Bs)
+        return hit
 
 
-def tensor_map(f: ChainMap, g: ChainMap, memo: Optional[TensorMemo] = None) -> ChainMap:
-    """f (x) g for chain maps (degree 0, so no Koszul signs)."""
+def _endpoints(f) -> Tuple[ChainComplex, ChainComplex]:
+    """A chain map's source and target; a complex stands for its identity."""
+    return (f, f) if isinstance(f, ChainComplex) else (f.source, f.target)
+
+
+def tensor_map_blocks(f, g, memo: TensorMemo) -> Dict[int, Tuple[int, int, list]]:
+    """(rows, cols, blocks) of (f (x) g)_n for `Matrix.from_blocks`, by
+    degree n over its source's and target's windows.  Either factor may be
+    a complex, standing for its identity; its blocks are then Kronecker
+    products with an identity, which are placed without being formed."""
+    (A, C), (B, D) = _endpoints(f), _endpoints(g)
+    cols, src_off = memo.table(A.support, B.support)
+    rows, tgt_off = memo.table(C.support, D.support)
+    out = {n: (rows.get(n, 0), cols.get(n, 0), [])
+           for n in range(min(A.lo + B.lo, C.lo + D.lo), max(A.hi + B.hi, C.hi + D.hi) + 1)}
+    for (i, j), c0 in src_off.items():
+        r0 = tgt_off.get((i, j))
+        if r0 is None:
+            continue
+        if f is A:
+            m, kron = g.comps[j], (1, A.dims[i - A.lo], 1)
+        elif g is B:
+            m, kron = f.comps[i], (1, 1, B.dims[j - B.lo])
+        else:
+            m, kron = f.comps[i].kron(g.comps[j]), (1, 1, 1)
+        out[i + j][2].append((r0, c0, m, *kron))
+    return out
+
+
+def tensor_map_comps(f, g, memo: TensorMemo,
+                     gather: Optional[Dict[int, tuple]] = None) -> Dict[int, Matrix]:
+    """Components of f (x) g by degree (a complex standing for its identity),
+    without building its source and target; with gather = {degree: (cols,
+    signs)}, composed with that index map as `Matrix.permute` composes."""
+    (A, _), (B, _) = _endpoints(f), _endpoints(g)
+    placed = tensor_map_blocks(f, g, memo)
+    return {n: Matrix.from_blocks(*placed[n], gather and gather[n])
+            for n in range(A.lo + B.lo, A.hi + B.hi + 1)}
+
+
+def tensor_map(f, g, memo: Optional[TensorMemo] = None) -> ChainMap:
+    """f (x) g for chain maps (no Koszul signs); a complex stands for its identity."""
     memo = TensorMemo() if memo is None else memo
-    return ChainMap(memo.tensor(f.source, g.source), memo.tensor(f.target, g.target),
-                    tensor_map_comps(f, g))
+    (A, C), (B, D) = _endpoints(f), _endpoints(g)
+    return ChainMap(memo.tensor(A, B), memo.tensor(C, D), tensor_map_comps(f, g, memo))
 
 
 # -- mapping complex ----------------------------------------------------------
 
-def hom_summands(A: ChainComplex, B: ChainComplex, n: int) -> List[int]:
-    """Source degrees i with Hom(A_i, B_{n+i}) a block of Map(A,B)_n."""
-    return [i for i in range(A.lo, A.hi + 1) if B.lo <= n + i <= B.hi]
-
-
 def hom_offsets(A: ChainComplex, B: ChainComplex, n: int) -> Dict[int, int]:
-    off = {}
-    pos = 0
-    for i in hom_summands(A, B, n):
-        off[i] = pos
-        pos += A.dim(i) * B.dim(n + i)
+    """Where each block Hom(A_i, B_{n+i}) of Map(A,B)_n starts, by i ascending."""
+    off, pos = {}, 0
+    for i in range(max(A.lo, B.lo - n), min(A.hi, B.hi - n) + 1):
+        off[i], pos = pos, pos + A.dim(i) * B.dim(n + i)
     return off
 
 
 def hom_dims(A: ChainComplex, B: ChainComplex) -> Dict[int, int]:
     """Dimension of Map(A, B)_n by degree n, from the dimensions alone."""
-    return {n: sum(A.dim(i) * B.dim(n + i) for i in hom_summands(A, B, n))
+    return {n: sum(A.dim(i) * B.dim(n + i) for i in hom_offsets(A, B, n))
             for n in range(B.lo - A.hi, B.hi - A.lo + 1)}
 
 
@@ -512,12 +520,10 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
         for i, c0 in hom_offsets(A, B, n).items():
             # d_B . f_i : block from summand i to summand i of degree n-1
             if i in tgt_off:
-                blocks.append((tgt_off[i], c0,
-                               B.d(n + i).kron(Matrix.identity(A.dim(i)).transpose())))
+                blocks.append((tgt_off[i], c0, B.d(n + i), 1, 1, A.dim(i)))
             # f_i . d_A : Hom(A_i, B_{n+i}) -> Hom(A_{i+1}, B_{n+i})
             if i + 1 in tgt_off:
-                blk = Matrix.identity(B.dim(n + i)).kron(A.d(i + 1).transpose()).scale(sign)
-                blocks.append((tgt_off[i + 1], c0, blk))
+                blocks.append((tgt_off[i + 1], c0, A.d(i + 1).transpose(), sign, B.dim(n + i), 1))
         diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
     return ChainComplex(lo, hi, dims, diffs)
 

@@ -121,8 +121,9 @@ def _problems(obj) -> List[str]:
     raise DocumentError(f"validate does not support {tag} documents")
 
 
-def _valid(args, tag: str, *files: str, dims=None) -> list:
-    """The documents in args' `files`, each a valid `tag` document.
+def _valid(args, tag: str, *files: str, dims=None, check=_problems) -> list:
+    """The documents in args' `files`, each a valid `tag` document, as
+    `check` (by default `_problems`) finds it.
 
     All are read before any is checked, so a malformed file (exit 2) is
     reported ahead of an invalid one (exit 1).  With `dims` given,
@@ -135,10 +136,11 @@ def _valid(args, tag: str, *files: str, dims=None) -> list:
         cap = dim_cap()
         for k, n in dims(*objs).items():
             if n > cap:
-                raise DocumentError(f"the result has dimension {n} in degree {k}, "
+                shown = n if n < 10 ** 100 else "over 10^100"
+                raise DocumentError(f"the result has dimension {shown} in degree {k}, "
                                     f"which exceeds {MAX_DIM_ENV}={cap}")
     for obj in objs:
-        _require_valid(obj, _problems(obj))
+        _require_valid(obj, check(obj))
     return objs
 
 
@@ -255,10 +257,19 @@ def cmd_dk_normalize(args):
 
 
 def cmd_dk_gamma(args):
+    from math import comb
     from .doldkan import gamma
-    C, = _valid(args, "chain_complex", "file")
-    level = args.level if args.level is not None else max(C.hi, 0)
-    return 0, gamma(C, level)
+
+    def level_of(C):
+        return args.level if args.level is not None else max(C.hi, 0)
+
+    def dims(C):
+        # dim Gamma(C)_n = sum_k C(n, k) dim C_k grows with n, so the top level is the largest
+        n = level_of(C)
+        return {n: sum(comb(n, k) * d for k, d in C.support)} if n >= 0 and C.lo >= 0 else {}
+
+    C, = _valid(args, "chain_complex", "file", dims=dims)
+    return 0, gamma(C, level_of(C))
 
 
 def cmd_zeta(args):
@@ -278,8 +289,12 @@ def cmd_k0_compose(args):
 
 
 def cmd_lax_compose(args):
-    from .laxmat import lax_compose_delta1
-    return 0, lax_compose_delta1(*_valid(args, "delta1_chain_matrix", "left", "right"))
+    from .chain import TensorMemo
+    from .laxmat import lax_compose_delta1, validate_delta1_matrix
+    memo = TensorMemo()  # the checks' tensor products, reused by the composition
+    N, M = _valid(args, "delta1_chain_matrix", "left", "right",
+                  check=lambda D: validate_delta1_matrix(D, memo))
+    return 0, lax_compose_delta1(N, M, memo)
 
 
 def cmd_cof(args):

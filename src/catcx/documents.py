@@ -184,13 +184,15 @@ def _parse_matrix(data, ctx: "_Ctx", path: str,
     r = len(arr)
     widths = set()
     ent = []
+    exact = True  # every entry is an int from a row's canonical fast path
     for i, row in enumerate(arr):
         row = _as_list(row, f"{path}[{i}]")
         widths.add(len(row))
         values = _canonical_ints(row)
-        if values is not None:  # all ints, so Matrix takes its all-int path
+        if values is not None:
             ent.extend(values)
             continue
+        exact = False
         for j, cell in enumerate(row):
             n = _canonical_int(cell) if type(cell) is str else None
             ent.append(n if n is not None
@@ -204,7 +206,7 @@ def _parse_matrix(data, ctx: "_Ctx", path: str,
         raise DocumentError(f"expected {rows} rows, found {r}", path)
     if cols is not None and c != cols:
         raise DocumentError(f"expected {cols} columns, found {c}", path)
-    return Matrix(r, c, ent)
+    return Matrix._of(r, c, ent) if exact else Matrix(r, c, ent)
 
 
 def _subset_key(J) -> str:

@@ -8,9 +8,11 @@ A matrix is stored as FLINT's `fmpq_mat` stores it: a row-major tuple of
 int numerators over one positive common denominator, kept canonical
 (gcd of the denominator and all numerators is 1, so integer matrices have
 denominator 1).  Products, sums, Kronecker products and block placement
-run on those ints.  Signed partial permutations (inclusions, projections,
-re-bracketings) are built from their index data by `Matrix.monomial`, and
-a product with one is a column gather, `Matrix.permute`.  Eliminations are fraction-free: `rank` is Bareiss
+run on those ints.  `Matrix.from_blocks` is the one way to place blocks:
+it also writes Kronecker products with identities without forming them,
+and gathers columns by index data, which is how signed partial
+permutations (`Matrix.monomial`) are built and composed with
+(`Matrix.permute`).  Eliminations are fraction-free: `rank` is Bareiss
 elimination, and `rref`, `kernel_basis`, `solve` and `invert` share one
 fraction-free Gauss-Jordan on the numerators (every pivot ends equal to
 the same minor D, and the reduced form is the result divided by D).
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -43,9 +45,7 @@ def rat(x: Scalar) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
@@ -160,15 +160,12 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence[Scalar]], cols: Optional[int] = None) -> "Matrix":
-        nrows = len(rows_data)
-        if nrows == 0:
+        if not rows_data:
             return cls(0, 0 if cols is None else cols, [])
         ncols = len(rows_data[0])
-        for r in rows_data:
-            if len(r) != ncols:
-                raise DimensionError("ragged rows")
-        flat = [x for r in rows_data for x in r]
-        return cls(nrows, ncols, flat)
+        if any(len(r) != ncols for r in rows_data):
+            raise DimensionError("ragged rows")
+        return cls(len(rows_data), ncols, [x for r in rows_data for x in r])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -208,26 +205,59 @@ class Matrix:
         return cls(len(entries), 1, entries)
 
     @classmethod
-    def from_blocks(cls, rows: int, cols: int,
-                    blocks: Iterable[Tuple[int, int, "Matrix"]]) -> "Matrix":
-        """rows x cols matrix, zero except each (r0, c0, block) placed with
-        its top-left corner at (r0, c0).  Blocks must not overlap."""
-        blocks = list(blocks)
-        d = lcm(*[blk._d for _, _, blk in blocks])
-        ent = [0] * (rows * cols)
-        for r0, c0, blk in blocks:
-            br, bc = blk.rows, blk.cols
+    def from_blocks(cls, rows: int, cols: int, blocks: Iterable[tuple],
+                    gather: Optional[tuple] = None) -> "Matrix":
+        """rows x cols matrix, zero except each block placed with its top-left
+        corner at (r0, c0); blocks must not overlap.  A block is (r0, c0, m), or
+        (r0, c0, m, s, a, b) for s (1_a (x) m (x) 1_b), s = +-1, in `kron`'s
+        basis order, written without being formed.  With gather = (cols',
+        signs'), the result is that matrix `.permute(cols', signs')`, each
+        entry written straight to its gathered column."""
+        width, to, blocks = cols, None, list(blocks)
+        if gather is not None:
+            g_cols, g_signs = gather
+            if g_cols and not (-1 <= min(g_cols) and max(g_cols) < cols):
+                raise DimensionError(f"column index out of range for {rows}x{cols}")
+            width = len(g_cols)
+            if blocks:
+                to = [[] for _ in range(cols)]  # where each column goes
+                for j, c in enumerate(g_cols):
+                    if c >= 0:
+                        to[c].append(j)
+        ent = [0] * (rows * width)
+        d = lcm(*[blk[2]._d for blk in blocks])
+        for blk in blocks:
+            if len(blk) == 3:
+                r0, c0, m = blk
+                s = a = b = 1
+            else:
+                r0, c0, m, s, a, b = blk
+            mr, mc = m.rows, m.cols
+            br, bc = a * mr * b, a * mc * b
             if r0 < 0 or c0 < 0 or r0 + br > rows or c0 + bc > cols:
                 raise DimensionError(
                     f"a {br}x{bc} block at ({r0}, {c0}) does not fit in {rows}x{cols}")
-            e = blk._e
-            s = d // blk._d
-            if s != 1:
-                e = [x * s for x in e]
-            for r in range(br):
-                base = (r0 + r) * cols + c0
-                ent[base:base + bc] = e[r * bc:(r + 1) * bc]
-        return cls._of(rows, cols, ent, d)
+            k = s * (d // m._d)
+            e = m._e if k == 1 else [x * k for x in m._e]
+            if to is None and a == b == 1:  # row by row
+                for r in range(mr):
+                    at = (r0 + r) * width + c0
+                    ent[at:at + mc] = e[r * mc:(r + 1) * mc]
+                continue
+            # entry (r, q) of m runs down the diagonal of 1_b, in each diagonal block of 1_a
+            for i, x in enumerate(e):
+                if not x:
+                    continue
+                r, q = divmod(i, mc)
+                for t in range(a):
+                    row, col = r0 + (t * mr + r) * b, c0 + (t * mc + q) * b
+                    if to is None:
+                        ent[row * width + col:(row + b) * width:width + 1] = [x] * b
+                        continue
+                    for u in range(b):
+                        for j in to[col + u]:
+                            ent[(row + u) * width + j] = x if g_signs is None else x * g_signs[j]
+        return cls._of(rows, width, ent, d)
 
     # -- access -----------------------------------------------------------
 
@@ -325,21 +355,9 @@ class Matrix:
         return Matrix._of(n, p, out, self._d * other._d)
 
     def permute(self, cols: Sequence[int], signs: Optional[Sequence[int]] = None) -> "Matrix":
-        """Columns gathered by index: column j is signs[j] times column
-        cols[j] of self, or zero where cols[j] is -1.
-
-        This is self * Matrix.monomial(self.cols, cols, signs), computed
-        without forming the monomial factor.
-        """
-        c = self.cols
-        if cols and not (-1 <= min(cols) and max(cols) < c):
-            raise DimensionError(f"column index out of range for {self.rows}x{c}")
-        e = self._e
-        out = []
-        for i in range(self.rows):
-            pick = (e[i * c:(i + 1) * c] + (0,)).__getitem__
-            out.extend(map(pick, cols) if signs is None else map(mul, map(pick, cols), signs))
-        return Matrix._of(self.rows, len(cols), out, self._d)
+        """self * Matrix.monomial(self.cols, cols, signs) without forming the
+        monomial: column j is signs[j] times column cols[j], or zero at -1."""
+        return Matrix.from_blocks(self.rows, self.cols, [(0, 0, self)], (cols, signs))
 
     def transpose(self) -> "Matrix":
         e, c = self._e, self.cols
@@ -379,25 +397,18 @@ class Matrix:
     @staticmethod
     def block(grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
         """Assemble a block matrix; shapes must be consistent per row/column."""
-        if not grid:
-            return Matrix.zeros(0, 0)
-        placed = []
-        r0 = 0
-        width = None
+        placed, r0, width = [], 0, None
         for row_blocks in grid:
-            height = row_blocks[0].rows
-            c0 = 0
+            height, c0 = row_blocks[0].rows, 0
             for blk in row_blocks:
                 if blk.rows != height:
                     raise DimensionError("hstack needs equal row counts")
                 placed.append((r0, c0, blk))
                 c0 += blk.cols
-            if width is None:
-                width = c0
-            elif c0 != width:
+            if width not in (None, c0):
                 raise DimensionError("vstack needs equal column counts")
-            r0 += height
-        return Matrix.from_blocks(r0, width, placed)
+            r0, width = r0 + height, c0
+        return Matrix.from_blocks(r0, width or 0, placed)
 
     # -- predicates -------------------------------------------------------
 

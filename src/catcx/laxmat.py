@@ -25,11 +25,12 @@ explicit associator, a signless basis permutation.
 
 The associator, its inverse and the interchanges are index maps
 {degree: (cols, signs)}: source basis vector j goes to signs[j] times
-target basis vector cols[j] (signs None when all +1).  Composing with one
-gathers columns (`Matrix.permute`); only the public functions build them
-densely.  A composition builds each tensor product once, in a `TensorMemo`
-that lives for that call only, and never builds the tensored spans or
-their pushouts, whose dimensions are all the interchange needs.
+target basis vector cols[j] (signs None when all +1); only the public
+functions build them densely.  A composition composes them as int lists
+and writes each span leg and cell component in one `Matrix.from_blocks`
+pass, straight from the input cells' entries.  It builds each tensor
+product once, in a `TensorMemo` that lives for that call only, and never
+builds the tensored spans or their pushouts.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
-from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_complex, direct_sum,
-                    euler_characteristic, identity_map, inclusion, projection, shift,
-                    tensor, tensor_blocks, tensor_map, tensor_map_comps, unit_complex,
+from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_complex,
+                    euler_characteristic, inclusion, projection, shift, sum_cone,
+                    tensor, tensor_map, tensor_map_blocks, tensor_map_comps, unit_complex,
                     validate_complex, zero_complex)
 from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
                         _components_json, _parse_chain_complex, _parse_components, _req)
@@ -73,22 +74,12 @@ class FinPoset(Record):
 
 
 def validate_poset(P: FinPoset) -> List[str]:
-    report = []
-    n = P.size()
-    for i in range(n):
-        if not P.leq[i][i]:
-            report.append(f"not reflexive at {P.labels[i]}")
-    for i in range(n):
-        for j in range(n):
-            if i != j and P.leq[i][j] and P.leq[j][i]:
-                report.append(f"not antisymmetric on ({P.labels[i]},{P.labels[j]})")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if P.leq[i][j] and P.leq[j][k] and not P.leq[i][k]:
-                    report.append(
-                        f"not transitive via ({P.labels[i]},{P.labels[j]},{P.labels[k]})")
-    return report
+    L, leq, n = P.labels, P.leq, range(P.size())
+    return ([f"not reflexive at {L[i]}" for i in n if not leq[i][i]]
+            + [f"not antisymmetric on ({L[i]},{L[j]})" for i in n for j in n
+               if i != j and leq[i][j] and leq[j][i]]
+            + [f"not transitive via ({L[i]},{L[j]},{L[k]})" for i in n for j in n for k in n
+               if leq[i][j] and leq[j][k] and not leq[i][k]])
 
 
 class IntMatrix:
@@ -186,9 +177,7 @@ class Pushout(Record):
 def hpushout(span: Span) -> Pushout:
     """cone((p, -q): apex -> B (+) C) with the canonical inclusions."""
     A, B, C = span.apex, span.left.target, span.right.target
-    D = direct_sum(B, C)
-    P = cone_complex(ChainMap(A, D, {k: span.left.f(k).vstack(-span.right.f(k))
-                                     for k in range(min(A.lo, D.lo), max(A.hi, D.hi) + 1)}))
+    P = sum_cone(A, [(B, span.left.comps, 1), (C, span.right.comps, -1)])
     fl = {k: inclusion(P.dim(k), A.dim(k - 1), B.dim(k)) for k in B.degrees()}
     fr = {k: inclusion(P.dim(k), A.dim(k - 1) + B.dim(k), C.dim(k)) for k in C.degrees()}
     return Pushout(span, P, ChainMap(B, P, fl), ChainMap(C, P, fr))
@@ -203,9 +192,7 @@ def induced_pushout_map(src: Pushout, tgt: Pushout, on_apex: ChainMap,
         raise DimensionError("span map: right square does not commute")
     comps = {}
     for k in src.cx.degrees():
-        a = on_apex.f(k - 1)
-        b = on_left.f(k)
-        c = on_right.f(k)
+        a, b, c = on_apex.f(k - 1), on_left.f(k), on_right.f(k)
         comps[k] = Matrix.from_blocks(
             a.rows + b.rows + c.rows, a.cols + b.cols + c.cols,
             [(0, 0, a), (a.rows, a.cols, b), (a.rows + b.rows, a.cols + b.cols, c)])
@@ -214,47 +201,36 @@ def induced_pushout_map(src: Pushout, tgt: Pushout, on_apex: ChainMap,
 
 # -- associator and tensor/cone interchange -----------------------------------
 
-# degree -> (cols, signs): see the module docstring
-IndexMap = Dict[int, Tuple[List[int], Optional[List[int]]]]
+IndexMap = Dict[int, Tuple[List[int], Optional[List[int]]]]  # see the module docstring
 
 
 def _dense(S: ChainComplex, T: ChainComplex, perm: IndexMap) -> ChainMap:
     return ChainMap(S, T, {n: Matrix.monomial(T.dim(n), *p) for n, p in perm.items()})
 
 
-def _gather(f: ChainMap, g: ChainMap, perm: IndexMap) -> Dict[int, Matrix]:
-    """Components of (f (x) g) . P for the index map P; f (x) g's complexes are not built."""
-    comps = tensor_map_comps(f, g)
-    return {n: comps[n].permute(*p) for n, p in perm.items()}
-
-
 def _assoc_perm(X: ChainComplex, Y: ChainComplex, Z: ChainComplex, memo: TensorMemo,
                 inverse: bool = False) -> IndexMap:
-    """The associator's index map, or its inverse's."""
-    XY, YZ = memo.tensor(X, Y), memo.tensor(Y, Z)
-    xy = {m: tensor_blocks(X, Y, m)[0] for m in XY.degrees()}
-    yz = {m: tensor_blocks(Y, Z, m)[0] for m in YZ.degrees()}
-    perm = {}
-    for n in range(X.lo + Y.lo + Z.lo, X.hi + Y.hi + Z.hi + 1):
-        s_off, size = tensor_blocks(XY, Z, n)
-        t_off = tensor_blocks(X, YZ, n)[0]
-        cols = [0] * size
-        for i in X.degrees():
-            for j in Y.degrees():
-                k = n - i - j
-                dx, dy, dz = X.dim(i), Y.dim(j), Z.dim(k)
-                if not dx * dy * dz:
-                    continue
+    """The associator's index map, or its inverse's, from the dimensions alone."""
+    xs, ys, zs = X.support, Y.support, Z.support
+    xy_dim, xy_off = memo.table(xs, ys)
+    yz_dim, yz_off = memo.table(ys, zs)
+    # where (X (x) Y)_m (x) Z_k and X_i (x) (Y (x) Z)_l start in their degree
+    size, s_off = memo.table(tuple(sorted(xy_dim.items())), zs)
+    t_off = memo.table(xs, tuple(sorted(yz_dim.items())))[1]
+    cols = {n: [0] * d for n, d in size.items()}
+    for i, dx in xs:
+        for j, dy in ys:
+            for k, dz in zs:
                 # x (x) (y (x) z) for fixed x is one run of dy * dz indices on both sides
-                run = dy * dz
-                s0 = s_off[i + j] + xy[i + j][i] * dz
-                t0 = t_off[i] + yz[j + k][j]
+                run, dyz, c = dy * dz, yz_dim[j + k], cols[i + j + k]
+                s0 = s_off[i + j, k] + xy_off[i, j] * dz
+                t0 = t_off[i, j + k] + yz_off[j, k]
                 for xi in range(dx):
-                    s, t = s0 + xi * run, t0 + xi * YZ.dim(j + k)
+                    s, t = s0 + xi * run, t0 + xi * dyz
                     at, to = (t, s) if inverse else (s, t)
-                    cols[at:at + run] = range(to, to + run)
-        perm[n] = (cols, None)
-    return perm
+                    c[at:at + run] = range(to, to + run)
+    return {n: (cols.get(n, []), None)
+            for n in range(X.lo + Y.lo + Z.lo, X.hi + Y.hi + Z.hi + 1)}
 
 
 def assoc(X: ChainComplex, Y: ChainComplex, Z: ChainComplex) -> ChainMap:
@@ -271,64 +247,55 @@ def assoc_inv(X: ChainComplex, Y: ChainComplex, Z: ChainComplex) -> ChainMap:
 
 
 def _pair(side: str):
-    if side == "left":
-        return lambda k, x: (k, x)
-    if side == "right":
-        return lambda k, x: (x, k)
-    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    return (lambda k, x: (k, x)) if side == "left" else (lambda k, x: (x, k))
 
 
-def _interchange(push: Pushout, K: ChainComplex, side: str,
-                 memo: TensorMemo) -> Tuple[ChainComplex, IndexMap]:
-    """K (x) hpushout(S) and the index map of its iso to hpushout(K (x) S)
-    (side "left"; side "right" tensors K on the right).  Only dimensions
-    are needed, so the tensored span and its pushout are not built."""
-    pair = _pair(side)
-    left = side == "left"
-    span = push.span
-    S = memo.tensor(*pair(K, push.cx))
-    parts = ((span.apex, 1), (span.left.target, 0), (span.right.target, 0))
-    perm = {}
-    for n in range(S.lo, S.hi + 1):
-        # hpushout(K (x) S)_n = (K (x) A)_{n-1} (+) (K (x) B)_n (+) (K (x) C)_n
-        targets = []
-        pos = 0
-        for X, lag in parts:
-            off, size = tensor_blocks(*pair(K, X), n - lag)
-            targets.append((X, lag, pos, off))
-            pos += size
-        s_off, size = tensor_blocks(*pair(K, push.cx), n)
-        cols, signs = [0] * size, [1] * size
-        for first, base in s_off.items():
-            i, j = (first, n - first) if left else (n - first, first)
-            dk, dp = K.dim(i), push.cx.dim(j)
-            start = 0  # where the current summand starts inside P_j
-            for X, lag, pos, off in targets:
-                dx = X.dim(j - lag)
-                if dk and dx:
-                    t0 = pos + off[i if left else j - lag]
-                    # a run of dx indices per basis vector of K_i, or one run of dk * dx
-                    runs = ([(base + kap * dp + start, t0 + kap * dx, dx) for kap in range(dk)]
-                            if left else [(base + start * dk, t0, dx * dk)])
-                    for s, t, ln in runs:
-                        cols[s:s + ln] = range(t, t + ln)
-                        if left and lag and i % 2:
-                            # the Koszul sign of K_i passing the shifted apex
-                            signs[s:s + ln] = [-1] * ln
-                start += dx
-        perm[n] = (cols, signs if -1 in signs else None)
-    return S, perm
+def _interchange(parts: Tuple[ChainComplex, ...], P: ChainComplex, K: ChainComplex,
+                 side: str, memo: TensorMemo) -> Tuple[ChainComplex, IndexMap]:
+    """K (x) P and the index map of its iso to hpushout(K (x) S), for P the
+    pushout of a span S with apex, left and right targets `parts` (side
+    "left"; side "right" tensors K on the right).  Only dimensions are
+    needed, so the tensored span and its pushout are not built."""
+    pair, left = _pair(side), side == "left"
+    S = memo.tensor(*pair(K, P))
+    # hpushout(K (x) S)_n = (K (x) A)_{n-1} (+) (K (x) B)_n (+) (K (x) C)_n
+    tables = [(X, lag, *memo.table(*pair(K.support, X.support)))
+              for X, lag in zip(parts, (1, 0, 0))]
+    size, s_off = memo.table(*pair(K.support, P.support))
+    cols, signs = {n: [0] * d for n, d in size.items()}, {n: [1] * d for n, d in size.items()}
+    for key, base in s_off.items():
+        i, j = key if left else key[::-1]
+        n, dk, dp = i + j, K.dims[i - K.lo], P.dims[j - P.lo]
+        start = pos = 0  # where the current summand starts inside P_j and the pushout
+        for X, lag, dim, off in tables:
+            dx = X.dim(j - lag)
+            if dx:
+                t0 = pos + off[pair(i, j - lag)]
+                # a run of dx indices per basis vector of K_i, or one run of dk * dx
+                runs = ([(base + kap * dp + start, t0 + kap * dx, dx) for kap in range(dk)]
+                        if left else [(base + start * dk, t0, dx * dk)])
+                for s, t, ln in runs:
+                    cols[n][s:s + ln] = range(t, t + ln)
+                    if left and lag and i % 2:
+                        # the Koszul sign of K_i passing the shifted apex
+                        signs[n][s:s + ln] = [-1] * ln
+            start += dx
+            pos += dim.get(n - lag, 0)
+    return S, {n: (cols.get(n, []), signs[n] if -1 in signs.get(n, ()) else None)
+               for n in range(S.lo, S.hi + 1)}
 
 
 def tensor_cone(push: Pushout, K: ChainComplex, side: str) -> Tuple[Pushout, ChainMap]:
     """Iso K (x) hpushout(S) -> hpushout(K (x) S) for side "left", with the
     sign (-1)^i on the K_i (x) shifted-apex summands; for side "right" the
     permutation hpushout(S) (x) K -> hpushout(S (x) K)."""
-    memo = TensorMemo()
-    pair, idk = _pair(side), identity_map(K)
-    tpush = hpushout(Span(tensor_map(*pair(idk, push.span.left), memo),
-                          tensor_map(*pair(idk, push.span.right), memo)))
-    S, perm = _interchange(push, K, side, memo)
+    memo, pair, span = TensorMemo(), _pair(side), push.span
+    tpush = hpushout(Span(tensor_map(*pair(K, span.left), memo),
+                          tensor_map(*pair(K, span.right), memo)))
+    S, perm = _interchange((span.apex, span.left.target, span.right.target), push.cx, K,
+                           side, memo)
     return tpush, _dense(S, tpush.cx, perm)
 
 
@@ -375,14 +342,16 @@ def _ends(D: Delta1ChainMatrix, g_tgt: ChainComplex, g_src: ChainComplex,
 def _square_commutes(D: Delta1ChainMatrix, g_tgt: ChainComplex, g_src: ChainComplex,
                      memo: TensorMemo) -> bool:
     """The structure square, compared on (g_tgt (x) E01) (x) g_src."""
-    route_b = D.cell_1f.compose(tensor_map(D.cell_f1, identity_map(g_src), memo))
+    route_b = D.cell_1f.compose(tensor_map(D.cell_f1, g_src, memo))
     route_a = D.cell_f0.compose(ChainMap(
         route_b.source, memo.tensor(g_tgt, D.entry(0, 0)),
-        _gather(identity_map(g_tgt), D.cell_0f, _assoc_perm(g_tgt, D.entry(0, 1), g_src, memo))))
+        tensor_map_comps(g_tgt, D.cell_0f, memo,
+                         _assoc_perm(g_tgt, D.entry(0, 1), g_src, memo))))
     return route_a == route_b
 
 
-def validate_delta1_matrix(D: Delta1ChainMatrix) -> List[str]:
+def validate_delta1_matrix(D: Delta1ChainMatrix, memo: Optional[TensorMemo] = None) -> List[str]:
+    """Problems of D; a memo given here may be handed on to a composition."""
     report = []
     for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
         if key not in D.entries:
@@ -390,11 +359,9 @@ def validate_delta1_matrix(D: Delta1ChainMatrix) -> List[str]:
             return report
         for msg in validate_complex(D.entries[key]):
             report.append(f"entry {key}: {msg}")
-    for msg in validate_complex(D.g_src):
-        report.append(f"g_src: {msg}")
-    for msg in validate_complex(D.g_tgt):
-        report.append(f"g_tgt: {msg}")
-    memo = TensorMemo()
+    report += [f"g_src: {msg}" for msg in validate_complex(D.g_src)]
+    report += [f"g_tgt: {msg}" for msg in validate_complex(D.g_tgt)]
+    memo = TensorMemo() if memo is None else memo
     for name, m, src, tgt in _ends(D, D.g_tgt, D.g_src, memo):
         if m.source != src or m.target != tgt:
             report.append(f"{name} has wrong endpoints")
@@ -419,6 +386,19 @@ def unit_matrix(G: ChainComplex) -> Delta1ChainMatrix:
                              ChainMap(zeros, one), ChainMap(G, G, dict(ident)))
 
 
+def _entry_legs(N: Delta1ChainMatrix, M: Delta1ChainMatrix, u: int, s: int,
+                memo: TensorMemo) -> tuple:
+    """(apex, B, C, p, q) of the span B <-p- apex -q-> C whose pushout is entry
+    (u, s) of N . M, the legs p = cell_n (x) M_0s and q = (N_u1 (x) cell_m) .
+    assoc(N_u1, G, M_0s) as components by degree."""
+    G, n_u1, m_0s = N.g_src, N.entry(u, 1), M.entry(0, s)
+    cell_n = N.cell_0f if u == 0 else N.cell_1f       # N_u1 (x) G -> N_u0
+    cell_m = M.cell_f0 if s == 0 else M.cell_f1       # G (x) M_0s -> M_1s
+    return (memo.tensor(memo.tensor(n_u1, G), m_0s), memo.tensor(N.entry(u, 0), m_0s),
+            memo.tensor(n_u1, M.entry(1, s)), tensor_map_comps(cell_n, m_0s, memo),
+            tensor_map_comps(n_u1, cell_m, memo, _assoc_perm(n_u1, G, m_0s, memo)))
+
+
 def compose_entry_span(N: Delta1ChainMatrix, M: Delta1ChainMatrix, u: int, s: int,
                        memo: Optional[TensorMemo] = None) -> Span:
     """The twisted-arrow span whose pushout is entry (u, s) of N . M."""
@@ -426,83 +406,85 @@ def compose_entry_span(N: Delta1ChainMatrix, M: Delta1ChainMatrix, u: int, s: in
         raise DimensionError("composition needs N.g_src == M.g_tgt")
     memo = TensorMemo() if memo is None else memo
     G = N.g_src
-    n_u1 = N.entry(u, 1)
-    m_0s = M.entry(0, s)
-    cell_n = N.cell_0f if u == 0 else N.cell_1f       # N_u1 (x) G -> N_u0
-    cell_m = M.cell_f0 if s == 0 else M.cell_f1       # G (x) M_0s -> M_1s
-    if cell_n.source != memo.tensor(n_u1, G):
+    if (N.cell_0f if u == 0 else N.cell_1f).source != memo.tensor(N.entry(u, 1), G):
         raise DimensionError("span legs must share their apex")
-    if cell_m.source != memo.tensor(G, m_0s):
+    if (M.cell_f0 if s == 0 else M.cell_f1).source != memo.tensor(G, M.entry(0, s)):
         raise DimensionError("chain map composition: middle complexes differ")
-    apex = memo.tensor(memo.tensor(n_u1, G), m_0s)
-    p = ChainMap(apex, memo.tensor(N.entry(u, 0), m_0s),
-                 tensor_map_comps(cell_n, identity_map(m_0s)))
-    q = ChainMap(apex, memo.tensor(n_u1, M.entry(1, s)),
-                 _gather(identity_map(n_u1), cell_m, _assoc_perm(n_u1, G, m_0s, memo)))
-    return Span(p, q)
+    apex, B, C, p, q = _entry_legs(N, M, u, s, memo)
+    return Span(ChainMap(apex, B, p), ChainMap(apex, C, q))
 
 
-def _induced_cell(src: Pushout, tgt: Pushout, K: ChainComplex, side: str,
-                  on: List[Dict[int, Matrix]], memo: TensorMemo) -> ChainMap:
-    """K (x) src.cx -> tgt.cx (src.cx (x) K for side "right"): the map of
-    pushouts induced by the span map `on` (apex, left and right components
-    by degree) out of K (x) src.span, after the tensor/cone interchange."""
-    S, omega = _interchange(src, K, side, memo)
-    targets = ((tgt.span.apex, 1), (tgt.span.left.target, 0), (tgt.span.right.target, 0))
+def _induced_cell(src: tuple, tgt: tuple, K: ChainComplex, side: str, on: list,
+                  memo: TensorMemo) -> ChainMap:
+    """K (x) P -> P' (P (x) K for side "right"), for src, tgt = (apex, B, C,
+    pushout): the map of pushouts induced by the span map `on`, whose apex,
+    left and right parts are (f (x) g) . assoc for (f, g, assoc) in `on`,
+    after the tensor/cone interchange.  The interchange and the signless
+    associators are composed as index lists, so each component is placed
+    in one pass."""
+    S, omega = _interchange(src[:3], src[3], K, side, memo)
+    parts = [(tensor_map_blocks(f, g, memo), perm, Y, lag)
+             for (f, g, perm), Y, lag in zip(on, tgt, (1, 0, 0))]
     comps = {}
-    for n, p in omega.items():
-        # block diagonal on hpushout(K (x) src.span)_n; no part where its source is 0
-        blocks, rows, cols = [], 0, 0
-        for (Y, lag), part in zip(targets, on):
-            m = part.get(n - lag)
-            if m is not None:
-                blocks.append((rows, cols, m))
-                cols += m.cols
+    for n, (cols, signs) in omega.items():
+        # block diagonal on hpushout(K (x) span)_n, before the associators
+        blocks, gathered, rows, width = [], [], 0, 0
+        for placed, perm, Y, lag in parts:
+            if n - lag in perm:
+                _, c, part = placed[n - lag]
+                blocks += [(r0 + rows, c0 + width, *kron) for r0, c0, *kron in part]
+                gathered += [j + width for j in perm[n - lag][0]]
+                width += c
             rows += Y.dim(n - lag)
-        comps[n] = Matrix.from_blocks(rows, cols, blocks).permute(*p)
-    return ChainMap(S, tgt.cx, comps)
+        comps[n] = Matrix.from_blocks(rows, width, blocks, ([gathered[j] for j in cols], signs))
+    return ChainMap(S, tgt[3], comps)
 
 
-def lax_compose_delta1(N: Delta1ChainMatrix, M: Delta1ChainMatrix) -> Delta1ChainMatrix:
+def lax_compose_delta1(N: Delta1ChainMatrix, M: Delta1ChainMatrix,
+                       memo: Optional[TensorMemo] = None) -> Delta1ChainMatrix:
     """Entrywise homotopy pushout composition of Delta^1 chain matrices.
 
     Raises DimensionError unless N.g_src == M.g_tgt, every structure cell
-    has its endpoints and both structure squares commute.
+    has its endpoints and both structure squares commute.  A memo that
+    validated N and M saves rebuilding their tensors.
     """
     if N.g_src != M.g_tgt:
         raise DimensionError("composition needs N.g_src == M.g_tgt")
-    memo = TensorMemo()
+    memo = TensorMemo() if memo is None else memo
     G, H, F = N.g_src, N.g_tgt, M.g_src
-    for name, m, src, tgt in _ends(N, H, G, memo) + _ends(M, G, F, memo):
+    for name, m, src, tgt in _ends(N, H, G, memo) + _ends(M, M.g_tgt, F, memo):
         if m.source != src or m.target != tgt:
             raise DimensionError(f"{name} has wrong endpoints")
     # with both squares commuting, every induced span map below commutes
-    for D, g_tgt, g_src, side in ((N, H, G, "left"), (M, G, F, "right")):
-        if not _square_commutes(D, g_tgt, g_src, memo):
+    for D, side in ((N, "left"), (M, "right")):
+        if not _square_commutes(D, D.g_tgt, D.g_src, memo):
             raise DimensionError(f"span map: {side} square does not commute")
-    pushes = {(u, s): hpushout(compose_entry_span(N, M, u, s, memo))
-              for u in (0, 1) for s in (0, 1)}
+    legs = {(u, s): _entry_legs(N, M, u, s, memo) for u in (0, 1) for s in (0, 1)}
+    pushes = {key: (A, B, C, sum_cone(A, [(B, p, 1), (C, q, -1)]))
+              for key, (A, B, C, p, q) in legs.items()}
     # psi: G_tgt (x) (N_01 (x) G) -> N_11 (x) G, shared by both vertical cells
     x0 = memo.tensor(N.entry(0, 1), G)
-    psi = ChainMap(memo.tensor(H, x0), memo.tensor(N.entry(1, 1), G), _gather(
-        N.cell_f1, identity_map(G), _assoc_perm(H, N.entry(0, 1), G, memo, inverse=True)))
+    psi = ChainMap(memo.tensor(H, x0), memo.tensor(N.entry(1, 1), G), tensor_map_comps(
+        N.cell_f1, G, memo, _assoc_perm(H, N.entry(0, 1), G, memo, inverse=True)))
 
     cells = {}
     for s in (0, 1):
         # G_tgt (x) P_0s -> P_1s, from (f (x) Z) . assoc_inv(G_tgt, Y, Z) on each part
         m_0s = M.entry(0, s)
-        on = [_gather(f, identity_map(Z), _assoc_perm(H, Y, Z, memo, inverse=True))
+        on = [(f, Z, _assoc_perm(H, Y, Z, memo, inverse=True))
               for f, Y, Z in ((psi, x0, m_0s), (N.cell_f0, N.entry(0, 0), m_0s),
                               (N.cell_f1, N.entry(0, 1), M.entry(1, s)))]
-        cells[f"cell_f{s}"] = _induced_cell(pushes[(0, s)], pushes[(1, s)], H, "left", on, memo)
+        cells[f"cell_f{s}"] = _induced_cell(pushes[(0, s)], pushes[(1, s)], H, "left",
+                                            on, memo)
     for u in (0, 1):
         # P_u1 (x) G_src -> P_u0, from (X (x) g) . assoc(X, Y, G_src) on each part
-        on = [_gather(identity_map(X), g, _assoc_perm(X, Y, F, memo))
+        on = [(X, g, _assoc_perm(X, Y, F, memo))
               for X, Y, g in ((memo.tensor(N.entry(u, 1), G), M.entry(0, 1), M.cell_0f),
                               (N.entry(u, 0), M.entry(0, 1), M.cell_0f),
                               (N.entry(u, 1), M.entry(1, 1), M.cell_1f))]
-        cells[f"cell_{u}f"] = _induced_cell(pushes[(u, 1)], pushes[(u, 0)], F, "right", on, memo)
-    return Delta1ChainMatrix(M.g_src, N.g_tgt, {k: push.cx for k, push in pushes.items()},
+        cells[f"cell_{u}f"] = _induced_cell(pushes[(u, 1)], pushes[(u, 0)], F, "right",
+                                            on, memo)
+    return Delta1ChainMatrix(M.g_src, N.g_tgt, {k: push[3] for k, push in pushes.items()},
                              **cells)
 
 
@@ -561,9 +543,8 @@ def _parse_fin_poset(d: dict, ctx: _Ctx, path: str) -> FinPoset:
 def _parse_int_matrix(d: dict, ctx: _Ctx, path: str) -> IntMatrix:
     rl = _as_list(_req(d, "row_labels", path), f"{path}.row_labels")
     cl = _as_list(_req(d, "col_labels", path), f"{path}.col_labels")
-    for i, s in enumerate(rl + cl):
-        if not isinstance(s, str):
-            raise DocumentError("labels must be strings", path)
+    if not all(isinstance(s, str) for s in rl + cl):
+        raise DocumentError("labels must be strings", path)
     _check_dim(len(rl), f"{path}.row_labels", ctx.cap)
     _check_dim(len(cl), f"{path}.col_labels", ctx.cap)
     ent_raw = _as_list(_req(d, "entries", path), f"{path}.entries")
@@ -616,10 +597,8 @@ def _delta1_json(N) -> dict:
     return {"g_src": N.g_src, "g_tgt": N.g_tgt,
             "entries": {f"{t},{s}": N.entry(t, s)
                         for t in (0, 1) for s in (0, 1)},
-            "cells": {"f0": _components_json(N.cell_f0.comps),
-                      "0f": _components_json(N.cell_0f.comps),
-                      "f1": _components_json(N.cell_f1.comps),
-                      "1f": _components_json(N.cell_1f.comps)}}
+            "cells": {name: _components_json(getattr(N, f"cell_{name}").comps)
+                      for name in ("f0", "0f", "f1", "1f")}}
 
 
 def _fin_poset_json(P) -> dict:

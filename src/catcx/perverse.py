@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
-from .chain import ChainComplex, ChainMap, ChainHomotopy, validate_complex
+from .chain import ChainComplex, ChainMap, ChainHomotopy, homotopy_failures, validate_complex
 from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
                         _components_json, _parse_chain_complex, _parse_components,
                         _parse_matrix, _parse_subset, _req, _subset_key)
@@ -372,6 +372,7 @@ def encode_sheaf_flag(P: PervFlag) -> SheafEncoding:
     """
     n = P.n
     stalks = [_flag_stalk(P, i) for i in range(n + 1)]
+    ts = flag_monodromies(P)
     maps = []
     monos = []
     htps = []
@@ -379,15 +380,7 @@ def encode_sheaf_flag(P: PervFlag) -> SheafEncoding:
         src, tgt = stalks[i - 1], stalks[i]
         res = ChainMap(src, tgt, {k: Matrix.identity(P.dims[k])
                                   for k in range(i, n + 1)})
-        t_comps = {}
-        for k in range(i, n + 1):
-            t = Matrix.identity(P.dims[k])
-            if k >= 1:
-                t = t - P.d[k - 1] * P.delta[k - 1]
-            if k < n:
-                t = t - P.delta[k] * P.d[k]
-            t_comps[k] = t
-        mono = ChainMap(tgt, tgt, t_comps)
+        mono = ChainMap(tgt, tgt, {k: ts[k] for k in range(i, n + 1)})
         htp = ChainHomotopy(src, tgt, {k: -P.d[k] for k in range(i - 1, n)})
         maps.append(res)
         monos.append(mono)
@@ -437,14 +430,8 @@ def verify_encoding(E: SheafEncoding) -> List[str]:
         if h.source != m.source or h.target != m.target:
             report.append(f"homotopy {i} has wrong endpoints")
             continue
-        A, B = m.source, m.target
-        lo = min(A.lo, B.lo)
-        hi = max(A.hi, B.hi)
-        for k in range(lo, hi + 1):
-            want = lhs.f(k) - m.f(k)
-            got = B.d(k + 1) * h.h(k) + h.h(k - 1) * A.d(k)
-            if want != got:
-                report.append(f"homotopy {i} fails at degree {k}")
+        for k in homotopy_failures(m, lhs, h):
+            report.append(f"homotopy {i} fails at degree {k}")
     return report
 
 # -- document codecs (rows of documents._TYPES) ---------------------------------
