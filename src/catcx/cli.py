@@ -52,14 +52,14 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _load(path: str, strict: bool, *tags: str):
+def _load(path: str, strict: bool, *tags: str, memo=None):
     """The document in `path`; with tags given, it must have one of them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}")
-    obj = parse_document(text, strict=strict, warn=_warn)
+    obj = parse_document(text, strict=strict, warn=_warn, memo=memo)
     if tags and tag_of(obj) not in tags:
         raise DocumentError(f"expected a {' or '.join(tags)} document, found {tag_of(obj)}")
     return obj
@@ -121,7 +121,7 @@ def _problems(obj) -> List[str]:
     raise DocumentError(f"validate does not support {tag} documents")
 
 
-def _valid(args, tag: str, *files: str, dims=None, check=_problems) -> list:
+def _valid(args, tag: str, *files: str, dims=None, check=_problems, memo=None) -> list:
     """The documents in args' `files`, each a valid `tag` document, as
     `check` (by default `_problems`) finds it.
 
@@ -131,7 +131,7 @@ def _valid(args, tag: str, *files: str, dims=None, check=_problems) -> list:
     dimensions alone; a degree past CATCX_MAX_DIM also exits 2, before
     anything is built.
     """
-    objs = [_load(getattr(args, f), args.strict, tag) for f in files]
+    objs = [_load(getattr(args, f), args.strict, tag, memo=memo) for f in files]
     if dims is not None:
         cap = dim_cap()
         for k, n in dims(*objs).items():
@@ -291,9 +291,9 @@ def cmd_k0_compose(args):
 def cmd_lax_compose(args):
     from .chain import TensorMemo
     from .laxmat import lax_compose_delta1, validate_delta1_matrix
-    memo = TensorMemo()  # the checks' tensor products, reused by the composition
+    memo = TensorMemo()  # parsing's and the checks' tensor products, reused by the composition
     N, M = _valid(args, "delta1_chain_matrix", "left", "right",
-                  check=lambda D: validate_delta1_matrix(D, memo))
+                  check=lambda D: validate_delta1_matrix(D, memo), memo=memo)
     return 0, lax_compose_delta1(N, M, memo)
 
 

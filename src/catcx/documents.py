@@ -45,7 +45,7 @@ from fractions import Fraction
 from importlib import import_module
 from typing import Callable, Dict, Optional, Tuple
 
-from .exactlin import DimensionError, Matrix, rat_str
+from .exactlin import _QUOTED, DimensionError, Matrix, rat_str
 from .record import Record
 
 MAX_DIM_ENV = "CATCX_MAX_DIM"
@@ -166,9 +166,17 @@ def _as_int(x, path: str) -> int:
     return x
 
 
+# str(n) -> n for the small ints `_QUOTED` writes: one lookup parses such a cell
+_INT = {q[1:-1]: n for n, q in _QUOTED.items()}
+
+
 def _canonical_ints(row: list) -> Optional[list]:
-    """row's values when every cell is an int spelled exactly as str()
-    spells it, checked for the whole row in one int/str round trip."""
+    """row's values when every cell is an int spelled exactly as str() spells
+    it: one table lookup per cell if all are small, else one int/str round trip."""
+    try:
+        return list(map(_INT.__getitem__, row))
+    except (KeyError, TypeError):
+        pass
     try:
         if max(map(len, row), default=0) > MAX_RATIONAL_DIGITS:
             return None  # the per-cell path decides (a sign and 4300 digits pass)
@@ -223,10 +231,11 @@ def _parse_subset(key: str, path: str):
 
 
 class _Ctx(Record):
-    __slots__ = ("strict", "warn", "cap")
+    __slots__ = ("strict", "warn", "cap", "memo")
     strict: bool
     warn: Warn
     cap: int
+    memo: object  # a chain.TensorMemo for the tensor products parsers build, or None
 
 
 # -- per-type parsers ----------------------------------------------------------
@@ -378,9 +387,10 @@ def tag_of(obj) -> str:
     return row[0] if row is not None else type(obj).__name__
 
 
-def parse_document(text: str, strict: bool = False, warn: Warn = None):
-    """Parse one tagged JSON document into its library value."""
-    ctx = _Ctx(strict, warn, dim_cap())
+def parse_document(text: str, strict: bool = False, warn: Warn = None, memo=None):
+    """Parse one tagged JSON document into its library value; tensor
+    products a parser builds go into `memo` (a `chain.TensorMemo`) if given."""
+    ctx = _Ctx(strict, warn, dim_cap(), memo)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -13,9 +13,11 @@ it also writes Kronecker products with identities without forming them,
 and gathers columns by index data, which is how signed partial
 permutations (`Matrix.monomial`) are built and composed with
 (`Matrix.permute`).  Eliminations are fraction-free: `rank` is Bareiss
-elimination, and `rref`, `kernel_basis`, `solve` and `invert` share one
-fraction-free Gauss-Jordan on the numerators (every pivot ends equal to
-the same minor D, and the reduced form is the result divided by D).
+with deferred row scaling (a row zero in the pivot column is rescaled
+only when next used, exactly, as every Bareiss entry is a minor), and
+`rref`, `kernel_basis`, `solve` and `invert` share one fraction-free
+Gauss-Jordan on the numerators (every pivot ends equal to the same minor
+D, and the reduced form is the result divided by D).
 `fractions.Fraction` appears only at the API boundary: `m[i, j]`, `row`
 and `entries` return Fractions, and the constructor accepts ints, 'p/q'
 strings and Fractions.
@@ -446,34 +448,41 @@ class Matrix:
         return [list(self._e[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def rank(self) -> int:
-        """Bareiss elimination: intermediates stay integral and bounded."""
+        """Bareiss elimination with deferred row scaling.
+
+        Bareiss takes each row below the pivot row to (p * row - f * pivot_row)
+        / prev, so a row with f = 0 is only scaled by p / prev.  That scaling
+        is deferred: row i is kept current for pivot value at[i], and as every
+        Bareiss entry is a minor (Sylvester's identity), its current value is
+        row * prev / at[i].  So the pivot row is updated that way, and a row
+        with f != 0 to (p * row - f * pivot_row) / at[i]; both are exact.
+        """
         a = self._num_rows()
-        nr, nc = self.rows, self.cols
+        nr = self.rows
+        at = [1] * nr
         prev = 1
         r = 0
-        for c in range(nc):
+        for c in range(self.cols):
             if r >= nr:
                 break
-            piv = None
             for i in range(r, nr):
-                if a[i][c] != 0:
-                    piv = i
+                if a[i][c]:
                     break
-            if piv is None:
+            else:
                 continue
-            if piv != r:
-                a[r], a[piv] = a[piv], a[r]
-            ar = a[r]
-            arc = ar[c]
-            tail = ar[c:]
+            a[r], a[i], at[r], at[i] = a[i], a[r], at[i], at[r]
+            tail = a[r][c:]
+            if at[r] != prev:
+                tail = [x * prev // at[r] for x in tail]
+            p = tail[0]
             for i in range(r + 1, nr):
                 ai = a[i]
-                aic = ai[c]
-                if aic:
-                    ai[c:] = [(arc * x - aic * y) // prev for x, y in zip(ai[c:], tail)]
-                elif arc != prev and any(ai[c:]):
-                    ai[c:] = [arc * x // prev for x in ai[c:]]
-            prev = arc
+                f = ai[c]
+                if f:
+                    s = at[i]
+                    ai[c:] = [(p * x - f * y) // s for x, y in zip(ai[c:], tail)]
+                    at[i] = p
+            prev = p
             r += 1
         return r
 

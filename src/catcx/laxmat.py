@@ -576,11 +576,12 @@ def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
                 _as_dict(ent_raw[key], f"{path}.entries.{key}"), ctx,
                 f"{path}.entries.{key}")
     cells_raw = _as_dict(_req(d, "cells", path), f"{path}.cells")
+    t = tensor if ctx.memo is None else ctx.memo.tensor
     shapes = {
-        "f0": (tensor(g_tgt, entries[(0, 0)]), entries[(1, 0)]),
-        "0f": (tensor(entries[(0, 1)], g_src), entries[(0, 0)]),
-        "f1": (tensor(g_tgt, entries[(0, 1)]), entries[(1, 1)]),
-        "1f": (tensor(entries[(1, 1)], g_src), entries[(1, 0)]),
+        "f0": (t(g_tgt, entries[(0, 0)]), entries[(1, 0)]),
+        "0f": (t(entries[(0, 1)], g_src), entries[(0, 0)]),
+        "f1": (t(g_tgt, entries[(0, 1)]), entries[(1, 1)]),
+        "1f": (t(entries[(1, 1)], g_src), entries[(1, 0)]),
     }
     cells = {}
     for name, (src, tgt) in shapes.items():
