@@ -231,8 +231,11 @@ def cmd_amalgamate(args):
 
 
 def cmd_embed_cube(args):
-    from .perverse import flag_embed_cube
-    return 0, flag_embed_cube(*_valid(args, "perv_flag", "file"))
+    from .perverse import check_cube_size, flag_embed_cube
+    flag = _load(args.file, args.strict, "perv_flag")
+    check_cube_size(len(flag.dims) - 1, dim_cap(), "$.dims")
+    _require_valid(flag, _problems(flag))
+    return 0, flag_embed_cube(flag)
 
 
 def cmd_encode_sheaf(args):

@@ -8,7 +8,9 @@ A matrix is stored as FLINT's `fmpq_mat` stores it: a row-major tuple of
 int numerators over one positive common denominator, kept canonical
 (gcd of the denominator and all numerators is 1, so integer matrices have
 denominator 1).  Products, sums, Kronecker products and block placement
-run on those ints.  `Matrix.from_blocks` is the one way to place blocks:
+run on those ints; a product takes a dot product per entry when its left
+factor is dense, else combines rows skipping zeros (the rule is in
+`Matrix.__mul__`).  `Matrix.from_blocks` is the one way to place blocks:
 it also writes Kronecker products with identities without forming them,
 and gathers columns by index data, which is how signed partial
 permutations (`Matrix.monomial`) are built and composed with
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -329,12 +331,23 @@ class Matrix:
         return Matrix._of(self.rows, self.cols, e, self._d * c.denominator if n else 1)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """n x m by m x p, z nonzero entries on the left: one dot product per
+        entry if n * p * (m + 8) <= 3 * z * (p + 4), else rows of other combined,
+        skipping zero a_ik and zero rows; no loop if z = 0 or other is zero."""
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         n, m, p = self.rows, self.cols, other.cols
         a, b = self._e, other._e
+        z = n * m - a.count(0)
+        if not z or not any(b):
+            return Matrix._of(n, p, (0,) * (n * p))
+        if n * p * (m + 8) <= 3 * z * (p + 4):
+            arows = [a[i:i + m] for i in range(0, n * m, m)]
+            bcols = [b[j::p] for j in range(p)]
+            out = [sum(map(mul, r, c)) for r in arows for c in bcols]
+            return Matrix._of(n, p, out, self._d * other._d)
         brows = [b[k * p:(k + 1) * p] for k in range(m)]
         live = [any(r) for r in brows]
         zero = [0] * p

@@ -83,44 +83,46 @@ def validate_poset(P: FinPoset) -> List[str]:
 
 
 class IntMatrix:
-    """Integer matrix with labelled rows and columns."""
+    """Integer `Matrix` (denominator 1) with labelled rows and columns."""
 
-    __slots__ = ("row_labels", "col_labels", "entries")
+    __slots__ = ("row_labels", "col_labels", "matrix")
 
     def __init__(self, row_labels: Sequence[str], col_labels: Sequence[str],
                  entries: Sequence[Sequence[int]]):
+        rows = [tuple(int(x) for x in row) for row in entries]
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
-        self.entries = tuple(tuple(int(x) for x in row) for row in entries)
-        if len(self.entries) != len(self.row_labels) or any(
-            len(r) != len(self.col_labels) for r in self.entries
-        ):
+        c = len(self.col_labels)
+        if len(rows) != len(self.row_labels) or any(len(r) != c for r in rows):
             raise DimensionError("IntMatrix shape does not match labels")
+        self.matrix = Matrix._of(len(rows), c, [x for r in rows for x in r])
 
-    def _matrix(self) -> Matrix:
-        return Matrix(len(self.row_labels), len(self.col_labels),
-                      [x for row in self.entries for x in row])
+    @classmethod
+    def _of(cls, row_labels: Sequence[str], col_labels: Sequence[str], m: Matrix) -> "IntMatrix":
+        """Trusted constructor: m has denominator 1 and the labels' shape."""
+        M = object.__new__(cls)
+        M.row_labels, M.col_labels, M.matrix = tuple(row_labels), tuple(col_labels), m
+        return M
+
+    @property
+    def entries(self) -> Tuple[Tuple[int, ...], ...]:
+        e, c = self.matrix._e, self.matrix.cols
+        return tuple(e[i * c:(i + 1) * c] for i in range(self.matrix.rows))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.col_labels != other.row_labels:
             raise DimensionError("IntMatrix label mismatch in product")
-        return _int_matrix(self.row_labels, other.col_labels, self._matrix() * other._matrix())
+        return IntMatrix._of(self.row_labels, other.col_labels, self.matrix * other.matrix)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
         return (self.row_labels == other.row_labels
                 and self.col_labels == other.col_labels
-                and self.entries == other.entries)
+                and self.matrix == other.matrix)
 
     def __repr__(self):
         return f"IntMatrix({self.row_labels}x{self.col_labels}: {self.entries})"
-
-
-def _int_matrix(row_labels: Sequence[str], col_labels: Sequence[str], m: Matrix) -> IntMatrix:
-    """An integer `Matrix` (denominator 1) with labels."""
-    c = m.cols
-    return IntMatrix(row_labels, col_labels, [m._e[i * c:(i + 1) * c] for i in range(m.rows)])
 
 
 def zeta(P: FinPoset) -> IntMatrix:
@@ -133,12 +135,12 @@ def zeta(P: FinPoset) -> IntMatrix:
 def mobius(P: FinPoset) -> IntMatrix:
     """Integer inverse of zeta; exists since zeta is unitriangular in any
     linear extension."""
-    inv = zeta(P)._matrix().invert()
+    inv = zeta(P).matrix.invert()
     if inv is None:
         raise DimensionError("zeta matrix is singular; input is not a poset")
     if inv._d != 1:
         raise DimensionError("Moebius matrix is not integral")
-    return _int_matrix(P.labels, P.labels, inv)
+    return IntMatrix._of(P.labels, P.labels, inv)
 
 
 def k0_compose(N: IntMatrix, M: IntMatrix, middle: FinPoset) -> IntMatrix:

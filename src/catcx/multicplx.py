@@ -22,8 +22,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .chain import ChainComplex, ChainMap, cone
-from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
-                        _components_json, _parse_chain_complex, _parse_components,
+from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_int, _as_list,
+                        _check_dim, _components_json, _parse_chain_complex, _parse_components,
                         _parse_matrix, _parse_subset, _req, _subset_key)
 
 
@@ -356,6 +356,13 @@ def _parse_multicomplex(d: dict, ctx: _Ctx, path: str) -> MultiComplex:
     hi = [_as_int(x, f"{path}.support.hi") for x in _as_list(_req(sup, "hi", f"{path}.support"), f"{path}.support.hi")]
     if len(lo) != n or len(hi) != n:
         raise DocumentError("support bounds must have one entry per axis", f"{path}.support")
+    # every multidegree of the box gets a matrix per axis: cap the count first
+    volume = 1
+    for l, h in zip(lo, hi):
+        volume *= max(h - l + 1, 0)
+        if volume > ctx.cap:
+            raise DocumentError(f"the support box holds more than {MAX_DIM_ENV}={ctx.cap} "
+                                "multidegrees", f"{path}.support")
     dims = {}
     for key, v in _as_dict(_req(d, "dims", path), f"{path}.dims").items():
         a = _parse_deg(key, n, f"{path}.dims")

@@ -32,8 +32,8 @@ from typing import Dict, FrozenSet, List, Tuple
 from .exactlin import DimensionError, Matrix
 from .record import Record
 from .chain import ChainComplex, ChainMap, ChainHomotopy, homotopy_failures, validate_complex
-from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
-                        _components_json, _parse_chain_complex, _parse_components,
+from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_int, _as_list,
+                        _check_dim, _components_json, _parse_chain_complex, _parse_components,
                         _parse_matrix, _parse_subset, _req, _subset_key)
 
 
@@ -462,10 +462,19 @@ def _parse_perv_flag(d: dict, ctx: _Ctx, path: str) -> PervFlag:
     return PervFlag(dims, ds, deltas)
 
 
+def check_cube_size(n: int, cap: int, path: str) -> None:
+    """Exit-2 error at path when the n-cube's 2^n vertices exceed cap."""
+    if n >= cap.bit_length():  # 2^n > cap
+        shown = n if n < 10 ** 100 else "over 10^100"
+        raise DocumentError(f"the n-cube for n = {shown} has 2^n vertices, more than "
+                            f"{MAX_DIM_ENV}={cap}", path)
+
+
 def _parse_perv_cube(d: dict, ctx: _Ctx, path: str) -> PervCube:
     n = _as_int(_req(d, "n", path), f"{path}.n")
     if n < 1:
         raise DocumentError("n must be at least 1", f"{path}.n")
+    check_cube_size(n, ctx.cap, f"{path}.n")
     dims = {}
     for key, v in _as_dict(_req(d, "dims", path), f"{path}.dims").items():
         J = _parse_subset(key, f"{path}.dims")
