@@ -225,6 +225,13 @@ class ChainMap(_Graded):
         return hash((self.source, self.target, tuple(sorted(self.comps))))
 
 
+def validate_map(f) -> List[str]:
+    """The problems of a chain map, or of a chain homotopy's endpoints."""
+    problems = ([f"source: {m}" for m in validate_complex(f.source)]
+                + [f"target: {m}" for m in validate_complex(f.target)])
+    return problems + f.validate() if isinstance(f, ChainMap) else problems
+
+
 def identity_map(C: ChainComplex) -> ChainMap:
     return ChainMap(C, C, {k: Matrix.identity(C.dim(k)) for k in C.degrees()})
 

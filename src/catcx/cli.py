@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 from typing import List, Optional
 
 from .exactlin import DimensionError, rat_str
-from .documents import (MAX_DIM_ENV, DocumentError, dim_cap, parse_document,
-                        serialize_document, tag_of)
+from .documents import (MAX_DIM_ENV, DocumentError, check_cube_size, dim_cap, parse_document,
+                        problems_of, serialize_document, tag_of)
 
 # Each handler imports the modules it runs, so a call loads only what its
 # subcommand needs (tests/test_lazy_imports.py lists what `import catcx.cli`
@@ -78,52 +77,9 @@ def _require_valid(obj, problems: List[str]) -> None:
         raise _Invalid(_report(obj, problems))
 
 
-# document tag -> (module, function) returning its problems, for the types
-# whose check is one function of their own module
-_CHECKS = {
-    "chain_complex": ("chain", "validate_complex"),
-    "multicomplex": ("multicplx", "validate_multicomplex"),
-    "chain_cube": ("multicplx", "validate_chain_cube"),
-    "perv_disk": ("perverse", "validate_disk"),
-    "perv_flag": ("perverse", "validate_flag"),
-    "perv_cube": ("perverse", "validate_cube"),
-    "local_star": ("perverse", "validate_local_star"),
-    "sheaf_encoding": ("perverse", "verify_encoding"),
-    "simplicial_vs": ("doldkan", "validate_simplicial"),
-    "fin_poset": ("laxmat", "validate_poset"),
-    "delta1_chain_matrix": ("laxmat", "validate_delta1_matrix"),
-}
-
-
-def _problems(obj) -> List[str]:
-    """The invariants `validate` checks, by document type."""
-    tag = tag_of(obj)
-    if tag in _CHECKS:
-        module, check = _CHECKS[tag]
-        return getattr(import_module(f".{module}", __package__), check)(obj)
-    if tag in ("chain_map", "chain_homotopy"):
-        problems = ([f"source: {m}" for m in _problems(obj.source)]
-                    + [f"target: {m}" for m in _problems(obj.target)])
-        return problems + obj.validate() if tag == "chain_map" else problems
-    if tag == "fd_algebra":
-        return obj.validate()
-    if tag == "koszul_complex":
-        from .koszul import AlgebraError, koszul
-        problems = obj.algebra.validate()
-        if not problems:
-            try:
-                koszul(obj.algebra, obj.lambdas)
-            except AlgebraError as e:
-                problems = [str(e)]
-        return problems
-    if tag in ("int_matrix", "matrix"):
-        return []
-    raise DocumentError(f"validate does not support {tag} documents")
-
-
-def _valid(args, tag: str, *files: str, dims=None, check=_problems, memo=None) -> list:
+def _valid(args, tag: str, *files: str, dims=None, check=problems_of, memo=None) -> list:
     """The documents in args' `files`, each a valid `tag` document, as
-    `check` (by default `_problems`) finds it.
+    `check` (by default `problems_of`) finds it.
 
     All are read before any is checked, so a malformed file (exit 2) is
     reported ahead of an invalid one (exit 1).  With `dims` given,
@@ -148,7 +104,7 @@ def _valid(args, tag: str, *files: str, dims=None, check=_problems, memo=None) -
 
 def cmd_validate(args):
     obj = _load(args.file, args.strict)
-    problems = _problems(obj)
+    problems = problems_of(obj)
     extra = None
     if not problems and tag_of(obj) == "perv_disk":
         from .perverse import disk_monodromies
@@ -218,7 +174,7 @@ def cmd_koszul_dual(args):
 def cmd_monodromy(args):
     from .perverse import disk_monodromies, flag_monodromies
     obj = _load(args.file, args.strict, "perv_disk", "perv_flag")
-    _require_valid(obj, _problems(obj))
+    _require_valid(obj, problems_of(obj))
     if tag_of(obj) == "perv_disk":
         t_psi, t_phi = disk_monodromies(obj)
         return 0, {"type": "monodromy", "psi": t_psi, "phi": t_phi}
@@ -231,10 +187,10 @@ def cmd_amalgamate(args):
 
 
 def cmd_embed_cube(args):
-    from .perverse import check_cube_size, flag_embed_cube
+    from .perverse import flag_embed_cube
     flag = _load(args.file, args.strict, "perv_flag")
     check_cube_size(len(flag.dims) - 1, dim_cap(), "$.dims")
-    _require_valid(flag, _problems(flag))
+    _require_valid(flag, problems_of(flag))
     return 0, flag_embed_cube(flag)
 
 
@@ -244,13 +200,13 @@ def cmd_encode_sheaf(args):
     disk = tag_of(obj) == "perv_disk"
     if args.dual and not disk:
         raise DocumentError("--dual is only supported for perv_disk inputs")
-    _require_valid(obj, _problems(obj))
+    _require_valid(obj, problems_of(obj))
     return 0, encode_sheaf(obj, dual=args.dual) if disk else encode_sheaf_flag(obj)
 
 
 def cmd_verify_encoding(args):
     E = _load(args.file, args.strict, "sheaf_encoding")
-    problems = _problems(E)
+    problems = problems_of(E)
     return (0 if not problems else 1), _report(E, problems)
 
 

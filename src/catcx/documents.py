@@ -17,15 +17,22 @@ input implies, so a malicious or runaway input fails fast instead of
 allocating.  The tensor and hom-complex commands apply it to each degree
 of their result too, before building it.
 
-Each document type is one row of the table `_TYPES`: tag, defining module
-and class, parser and serializer.  The codecs of the chain types (complex,
-map, homotopy) and of bare matrices live here, beside the helpers every
-codec shares; the codecs of every other type live at the end of their
-domain module (multicplx, koszul, perverse, doldkan, laxmat), and the row
-names them.  A domain module, and so its codec, is imported only when a
-document of its type is parsed, and serialization finds the row from the
-object's class without importing anything, so handling one type never
-loads or compiles the code of the others.
+Each document type is one row of the table `_TYPES`: (tag, module, class,
+parse, to_json, check), where check lists the invariants `catcx validate`
+finds broken.  The codecs of the chain types (complex, map, homotopy) and
+of bare matrices live here, beside the readers every codec shares; the
+codecs and checks of every other type live in their domain module
+(multicplx, koszul, perverse, doldkan, laxmat), and the row names them.
+A domain module, and so its codec, is imported only when a document of its
+type is parsed, and serialization finds the row from the object's class
+without importing anything, so handling one type never loads or compiles
+the code of the others.
+
+The codecs read documents through shared readers, which raise each error
+at the `$.path` of the value at fault: `_field` (one field, of a given
+kind), `_dims` (a list of dimensions), `_int_keys` and `_subset_keys` (the
+keys of a table by degree, axis or level, or by subset), `_complex` (a
+nested chain complex) and `_parse_matrix` (a matrix of a pinned shape).
 
 A serializer returns the document's fields; values may be matrices and
 library objects with a document type, which are written as rows of
@@ -43,7 +50,7 @@ import json
 import os
 from fractions import Fraction
 from importlib import import_module
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from .exactlin import _QUOTED, DimensionError, Matrix, rat_str
 from .record import Record
@@ -80,14 +87,26 @@ def dim_cap() -> int:
     return cap
 
 
-def _check_dim(n: int, path: str, cap: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DocumentError("dimension must be an integer", path)
-    if n < 0:
+def _check_dim(n, path: str, cap: int) -> int:
+    if _as_int(n, path) < 0:
         raise DocumentError("dimension must be nonnegative", path)
     if n > cap:
         raise DocumentError(f"dimension {n} exceeds {MAX_DIM_ENV}={cap}", path)
     return n
+
+
+def check_cube_size(n: int, cap: int, path: str) -> None:
+    """Exit-2 error at path when the n-cube's 2^n vertices exceed cap."""
+    if n >= cap.bit_length():  # 2^n > cap
+        shown = n if n < 10 ** 100 else "over 10^100"
+        raise DocumentError(f"the n-cube for n = {shown} has 2^n vertices, more than "
+                            f"{MAX_DIM_ENV}={cap}", path)
+
+
+def cube_subsets(n: int) -> list:
+    """The 2^n subsets of {1..n}, as frozensets."""
+    from itertools import compress, product
+    return [frozenset(compress(range(1, n + 1), bits)) for bits in product((0, 1), repeat=n)]
 
 
 def _exponent_too_large(x: str) -> bool:
@@ -142,10 +161,13 @@ def parse_rational(x, strict: bool, warn: Warn, path: str) -> Fraction:
     raise DocumentError(f"not a rational: {x!r}", path)
 
 
-def _req(d: dict, key: str, path: str):
-    if key not in d:
+def _field(d: dict, key: str, path: str, kind=None, default=...):
+    """d[key], or default when that is given and key is absent, checked by
+    kind (_as_dict, _as_list or _as_int) at path.key."""
+    x = d.get(key, default)
+    if x is ...:
         raise DocumentError(f"missing field {key!r}", path)
-    return d[key]
+    return x if kind is None else kind(x, f"{path}.{key}")
 
 
 def _as_dict(x, path: str) -> dict:
@@ -217,17 +239,41 @@ def _parse_matrix(data, ctx: "_Ctx", path: str,
     return Matrix._of(r, c, ent) if exact else Matrix(r, c, ent)
 
 
+def _dims(d: dict, path: str, cap: int, fits, message: str) -> tuple:
+    """d's "dims" list, whose length must pass fits (else message at
+    path.dims) before any dimension is read."""
+    raw = _field(d, "dims", path, _as_list)
+    if not fits(len(raw)):
+        raise DocumentError(message, f"{path}.dims")
+    return tuple(_check_dim(x, f"{path}.dims[{i}]", cap) for i, x in enumerate(raw))
+
+
+def _int_keys(table, path: str, what: str, valid=None, outside: str = ""):
+    """(k, key, value) per item of the object table: a key that is not an int
+    is a bad `what` key, and a k not in valid the error outside.format(k),
+    both at path."""
+    for key, value in _as_dict(table, path).items():
+        try:
+            k = int(key)
+        except ValueError:
+            raise DocumentError(f"bad {what} key {key!r}", path)
+        if valid is not None and k not in valid:
+            raise DocumentError(outside.format(k), path)
+        yield k, key, value
+
+
 def _subset_key(J) -> str:
     return ",".join(str(i) for i in sorted(J))
 
 
-def _parse_subset(key: str, path: str):
-    if key == "":
-        return frozenset()
-    try:
-        return frozenset(int(p) for p in key.split(","))
-    except ValueError:
-        raise DocumentError(f"bad subset key {key!r}", path)
+def _subset_keys(table, path: str):
+    """(J, key, value) per item of the object table, whose keys are subsets."""
+    for key, value in _as_dict(table, path).items():
+        try:
+            J = frozenset(map(int, key.split(","))) if key else frozenset()
+        except ValueError:
+            raise DocumentError(f"bad subset key {key!r}", path)
+        yield J, key, value
 
 
 class _Ctx(Record):
@@ -240,64 +286,48 @@ class _Ctx(Record):
 
 # -- per-type parsers ----------------------------------------------------------
 
-def _parse_chain_complex(d: dict, ctx: _Ctx, path: str) -> ChainComplex:
+def _parse_chain_complex(d, ctx: _Ctx, path: str) -> ChainComplex:
     from .chain import ChainComplex
-    lo = _as_int(_req(d, "lo", path), f"{path}.lo")
-    hi = _as_int(_req(d, "hi", path), f"{path}.hi")
+    d = _as_dict(d, path)
+    lo = _field(d, "lo", path, _as_int)
+    hi = _field(d, "hi", path, _as_int)
     if hi < lo:
         raise DocumentError("hi < lo", path)
-    dims_raw = _as_list(_req(d, "dims", path), f"{path}.dims")
-    if len(dims_raw) != hi - lo + 1:
-        raise DocumentError("dims length does not match lo..hi", f"{path}.dims")
-    dims = tuple(_check_dim(_as_int(x, f"{path}.dims[{i}]"), f"{path}.dims[{i}]", ctx.cap)
-                 for i, x in enumerate(dims_raw))
+    dims = _dims(d, path, ctx.cap, lambda n: n == hi - lo + 1,
+                 "dims length does not match lo..hi")
     probe = ChainComplex(lo, hi, dims)
-    diffs = {}
-    for key, mat in _as_dict(d.get("differentials", {}), f"{path}.differentials").items():
-        try:
-            k = int(key)
-        except ValueError:
-            raise DocumentError(f"bad degree key {key!r}", f"{path}.differentials")
-        if not (lo < k <= hi):
-            raise DocumentError(f"degree {k} outside lo+1..hi", f"{path}.differentials")
-        diffs[k] = _parse_matrix(mat, ctx, f"{path}.differentials.{key}",
-                                 rows=probe.dim(k - 1), cols=probe.dim(k))
+    table = _field(d, "differentials", path, default={})
+    diffs = {k: _parse_matrix(mat, ctx, f"{path}.differentials.{key}",
+                              rows=probe.dim(k - 1), cols=probe.dim(k))
+             for k, key, mat in _int_keys(table, f"{path}.differentials", "degree",
+                                          range(lo + 1, hi + 1), "degree {} outside lo+1..hi")}
     return ChainComplex(lo, hi, dims, diffs)
+
+
+def _complex(d: dict, key: str, ctx: _Ctx, path: str) -> ChainComplex:
+    """The chain complex in d's field key."""
+    return _parse_chain_complex(_field(d, key, path), ctx, f"{path}.{key}")
 
 
 def _parse_components(d, src: ChainComplex, tgt: ChainComplex, ctx: _Ctx,
                       path: str, degree_shift: int = 0) -> Dict[int, Matrix]:
-    comps = {}
-    for key, mat in _as_dict(d, path).items():
-        try:
-            k = int(key)
-        except ValueError:
-            raise DocumentError(f"bad degree key {key!r}", path)
-        comps[k] = _parse_matrix(mat, ctx, f"{path}.{key}",
-                                 rows=tgt.dim(k + degree_shift), cols=src.dim(k))
-    return comps
+    return {k: _parse_matrix(mat, ctx, f"{path}.{key}",
+                             rows=tgt.dim(k + degree_shift), cols=src.dim(k))
+            for k, key, mat in _int_keys(d, path, "degree")}
 
 
-def _parse_chain_map(d: dict, ctx: _Ctx, path: str) -> ChainMap:
-    from .chain import ChainMap
-    src = _parse_chain_complex(_as_dict(_req(d, "source", path), f"{path}.source"),
-                               ctx, f"{path}.source")
-    tgt = _parse_chain_complex(_as_dict(_req(d, "target", path), f"{path}.target"),
-                               ctx, f"{path}.target")
-    comps = _parse_components(d.get("components", {}), src, tgt, ctx,
-                              f"{path}.components")
-    return ChainMap(src, tgt, comps)
+def _parse_chain_map(d: dict, ctx: _Ctx, path: str, homotopy: bool = False):
+    """A chain map, or a chain homotopy (whose components raise the degree)."""
+    from .chain import ChainHomotopy, ChainMap
+    src = _complex(d, "source", ctx, path)
+    tgt = _complex(d, "target", ctx, path)
+    comps = _parse_components(d.get("components", {}), src, tgt, ctx, f"{path}.components",
+                              degree_shift=int(homotopy))
+    return (ChainHomotopy if homotopy else ChainMap)(src, tgt, comps)
 
 
 def _parse_chain_homotopy(d: dict, ctx: _Ctx, path: str) -> ChainHomotopy:
-    from .chain import ChainHomotopy
-    src = _parse_chain_complex(_as_dict(_req(d, "source", path), f"{path}.source"),
-                               ctx, f"{path}.source")
-    tgt = _parse_chain_complex(_as_dict(_req(d, "target", path), f"{path}.target"),
-                               ctx, f"{path}.target")
-    comps = _parse_components(d.get("components", {}), src, tgt, ctx,
-                              f"{path}.components", degree_shift=1)
-    return ChainHomotopy(src, tgt, comps)
+    return _parse_chain_map(d, ctx, path, homotopy=True)
 
 
 # -- serializers: one per type, each returning the document without its tag --
@@ -310,11 +340,7 @@ def _components_json(comps: Dict[int, Matrix]) -> dict:
 
 
 def _chain_complex_json(C) -> dict:
-    diffs = {}
-    for k in range(C.lo + 1, C.hi + 1):
-        m = C.d(k)
-        if m.rows and m.cols:
-            diffs[str(k)] = m
+    diffs = _components_json({k: C.d(k) for k in range(C.lo + 1, C.hi + 1)})
     return {"lo": C.lo, "hi": C.hi, "dims": C.dims, "differentials": diffs}
 
 
@@ -325,50 +351,59 @@ def _chain_map_json(f) -> dict:
 
 
 def _parse_matrix_document(d: dict, ctx: _Ctx, path: str) -> Matrix:
-    return _parse_matrix(_req(d, "entries", path), ctx, f"{path}.entries")
+    return _parse_matrix(_field(d, "entries", path), ctx, f"{path}.entries")
 
 
 # -- the table of document types -------------------------------------------------
 
 _TYPES = (
-    # (tag, module, class, parse, to_json): the codecs are functions here,
-    # or the names of functions in the type's own module
-    ("chain_complex", "chain", "ChainComplex", _parse_chain_complex, _chain_complex_json),
-    ("chain_map", "chain", "ChainMap", _parse_chain_map, _chain_map_json),
-    ("chain_homotopy", "chain", "ChainHomotopy", _parse_chain_homotopy, _chain_map_json),
-    ("multicomplex", "multicplx", "MultiComplex", "_parse_multicomplex", "_multicomplex_json"),
-    ("chain_cube", "multicplx", "ChainCube", "_parse_chain_cube", "_chain_cube_json"),
-    ("fd_algebra", "koszul", "FDAlgebra", "_parse_fd_algebra", "_fd_algebra_json"),
-    ("koszul_complex", "koszul", "KoszulSpec", "_parse_koszul", "_koszul_json"),
-    ("koszul_complex", "koszul", "FreeKoszulComplex", "_parse_koszul", "_koszul_json"),
-    ("perv_disk", "perverse", "PervDisk", "_parse_perv_disk", "_perv_disk_json"),
-    ("perv_flag", "perverse", "PervFlag", "_parse_perv_flag", "_perv_flag_json"),
-    ("perv_cube", "perverse", "PervCube", "_parse_perv_cube", "_perv_cube_json"),
-    ("local_star", "perverse", "LocalStar", "_parse_local_star", "_local_star_json"),
+    # (tag, module, class, parse, to_json, check): the codecs and the check
+    # are functions here, or the names of functions in the type's own module;
+    # a type with no check (None) has no invariants past its shape
+    ("chain_complex", "chain", "ChainComplex", _parse_chain_complex, _chain_complex_json,
+     "validate_complex"),
+    ("chain_map", "chain", "ChainMap", _parse_chain_map, _chain_map_json, "validate_map"),
+    ("chain_homotopy", "chain", "ChainHomotopy", _parse_chain_homotopy, _chain_map_json,
+     "validate_map"),
+    ("multicomplex", "multicplx", "MultiComplex", "_parse_multicomplex", "_multicomplex_json",
+     "validate_multicomplex"),
+    ("chain_cube", "multicplx", "ChainCube", "_parse_chain_cube", "_chain_cube_json",
+     "validate_chain_cube"),
+    ("fd_algebra", "koszul", "FDAlgebra", "_parse_fd_algebra", "_fd_algebra_json",
+     lambda A: A.validate()),
+    ("koszul_complex", "koszul", "KoszulSpec", "_parse_koszul", "_koszul_json", "validate_spec"),
+    ("koszul_complex", "koszul", "FreeKoszulComplex", "_parse_koszul", "_koszul_json",
+     "validate_spec"),
+    ("perv_disk", "perverse", "PervDisk", "_parse_perv_disk", "_perv_disk_json", "validate_disk"),
+    ("perv_flag", "perverse", "PervFlag", "_parse_perv_flag", "_perv_flag_json", "validate_flag"),
+    ("perv_cube", "perverse", "PervCube", "_parse_perv_cube", "_perv_cube_json", "validate_cube"),
+    ("local_star", "perverse", "LocalStar", "_parse_local_star", "_local_star_json",
+     "validate_local_star"),
     ("sheaf_encoding", "perverse", "SheafEncoding", "_parse_sheaf_encoding",
-     "_sheaf_encoding_json"),
-    ("simplicial_vs", "doldkan", "SimplicialVS", "_parse_simplicial", "_simplicial_json"),
-    ("fin_poset", "laxmat", "FinPoset", "_parse_fin_poset", "_fin_poset_json"),
-    ("int_matrix", "laxmat", "IntMatrix", "_parse_int_matrix", "_int_matrix_json"),
-    ("delta1_chain_matrix", "laxmat", "Delta1ChainMatrix", "_parse_delta1", "_delta1_json"),
-    ("matrix", "exactlin", "Matrix", _parse_matrix_document, lambda m: {"entries": m}),
+     "_sheaf_encoding_json", "verify_encoding"),
+    ("simplicial_vs", "doldkan", "SimplicialVS", "_parse_simplicial", "_simplicial_json",
+     "validate_simplicial"),
+    ("fin_poset", "laxmat", "FinPoset", "_parse_fin_poset", "_fin_poset_json", "validate_poset"),
+    ("int_matrix", "laxmat", "IntMatrix", "_parse_int_matrix", "_int_matrix_json", None),
+    ("delta1_chain_matrix", "laxmat", "Delta1ChainMatrix", "_parse_delta1", "_delta1_json",
+     "validate_delta1_matrix"),
+    ("matrix", "exactlin", "Matrix", _parse_matrix_document, lambda m: {"entries": m}, None),
 )
 
-_ROW_OF_TAG = {tag: (module, parse) for tag, module, _, parse, _ in _TYPES}
-_ROW_OF_CLASS = {(f"{__package__}.{module}", cls): (tag, module, to_json)
-                 for tag, module, cls, _, to_json in _TYPES}
+_ROW_OF_TAG = {row[0]: row for row in _TYPES}
+_ROW_OF_CLASS = {(f"{__package__}.{row[1]}", row[2]): row for row in _TYPES}
 
 _PASSTHROUGH_TYPES = ("report", "homology", "monodromy", "koszul_duality")
 
 
 def _codec(module: str, fn):
-    """A row's parser or serializer: fn itself, or the function named fn in
-    the row's module (imported by now when the object is of its class)."""
+    """A row's parser, serializer or check: fn itself, or the function named
+    fn in the row's module (imported by now when the object is of its class)."""
     return fn if callable(fn) else getattr(import_module(f".{module}", __package__), fn)
 
 
-def _row_of(obj) -> Optional[Tuple[str, Callable]]:
-    """(tag, to_json) of the nearest class in obj's MRO with a document type.
+def _row_of(obj) -> Optional[tuple]:
+    """The row of the nearest class in obj's MRO with a document type.
 
     Walking the MRO gives isinstance semantics without importing any
     domain module: obj's own classes are loaded already.
@@ -376,15 +411,25 @@ def _row_of(obj) -> Optional[Tuple[str, Callable]]:
     for cls in type(obj).__mro__:
         row = _ROW_OF_CLASS.get((cls.__module__, cls.__qualname__))
         if row is not None:
-            tag, module, to_json = row
-            return tag, _codec(module, to_json)
+            return row
     return None
 
 
 def tag_of(obj) -> str:
-    """The document tag of obj's type, or its class name if it has none."""
+    """The document tag of obj's type, a passthrough document's own type, or
+    obj's class name if it has neither."""
+    if isinstance(obj, dict) and obj.get("type") in _PASSTHROUGH_TYPES:
+        return obj["type"]
     row = _row_of(obj)
     return row[0] if row is not None else type(obj).__name__
+
+
+def problems_of(obj) -> list:
+    """The invariants obj breaks, by the check in the row of its type."""
+    row = _row_of(obj)
+    if row is None:
+        raise DocumentError(f"validate does not support {tag_of(obj)} documents")
+    return _codec(row[1], row[5])(obj) if row[5] else []
 
 
 def parse_document(text: str, strict: bool = False, warn: Warn = None, memo=None):
@@ -410,7 +455,7 @@ def parse_document(text: str, strict: bool = False, warn: Warn = None, memo=None
     if row is None:
         raise DocumentError(f"unknown document type {tag!r}")
     try:
-        return _codec(*row)(data, ctx, "$")
+        return _codec(row[1], row[3])(data, ctx, "$")
     except DimensionError as e:
         raise DocumentError(str(e))
 
@@ -457,8 +502,7 @@ def _document(obj) -> dict:
     row = _row_of(obj)
     if row is None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    tag, to_json = row
-    return {"type": tag, **to_json(obj)}
+    return {"type": row[0], **_codec(row[1], row[4])(obj)}
 
 
 def _write_matrix(m: Matrix, out: list, nl: Optional[str]) -> None:

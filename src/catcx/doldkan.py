@@ -25,8 +25,8 @@ from typing import Dict, List, Tuple
 from .exactlin import DimensionError, Matrix
 from .record import Record
 from .chain import ChainComplex
-from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
-                        _parse_matrix, _req)
+from .documents import (DocumentError, _Ctx, _as_int, _as_list, _dims, _field,
+                        _int_keys, _parse_matrix)
 
 
 class SimplicialVS(Record):
@@ -231,33 +231,21 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
 # -- document codecs (rows of documents._TYPES) ---------------------------------
 
 def _parse_simplicial(d: dict, ctx: _Ctx, path: str) -> SimplicialVS:
-    N = _as_int(_req(d, "N", path), f"{path}.N")
+    N = _field(d, "N", path, _as_int)
     if N < 0:
         raise DocumentError("N must be nonnegative", f"{path}.N")
-    dims_raw = _as_list(_req(d, "dims", path), f"{path}.dims")
-    if len(dims_raw) != N + 1:
-        raise DocumentError("dims must list X_0..X_N", f"{path}.dims")
-    dims = tuple(_check_dim(_as_int(x, f"{path}.dims[{i}]"), f"{path}.dims[{i}]", ctx.cap)
-                 for i, x in enumerate(dims_raw))
+    dims = _dims(d, path, ctx.cap, lambda n: n == N + 1, "dims must list X_0..X_N")
 
     def parse_ops(field: str, valid_levels, rows_at, cols_at):
-        table = _as_dict(_req(d, field, path), f"{path}.{field}") if valid_levels else {}
+        table = _field(d, field, path) if valid_levels else {}
         out = {}
-        for nkey, ops in table.items():
-            try:
-                n = int(nkey)
-            except ValueError:
-                raise DocumentError(f"bad level key {nkey!r}", f"{path}.{field}")
-            if n not in valid_levels:
-                raise DocumentError(f"level {n} out of range", f"{path}.{field}")
-            ops = _as_list(ops, f"{path}.{field}.{nkey}")
-            if len(ops) != n + 1:
-                raise DocumentError(f"level {n} needs {n + 1} maps",
-                                    f"{path}.{field}.{nkey}")
-            out[n] = tuple(
-                _parse_matrix(m, ctx, f"{path}.{field}.{nkey}[{i}]",
-                              rows=rows_at(n), cols=cols_at(n))
-                for i, m in enumerate(ops))
+        for n, nkey, ops in _int_keys(table, f"{path}.{field}", "level", valid_levels,
+                                      "level {} out of range"):
+            at = f"{path}.{field}.{nkey}"
+            if len(_as_list(ops, at)) != n + 1:
+                raise DocumentError(f"level {n} needs {n + 1} maps", at)
+            out[n] = tuple(_parse_matrix(m, ctx, f"{at}[{i}]", rows=rows_at(n), cols=cols_at(n))
+                           for i, m in enumerate(ops))
         return out
 
     faces = parse_ops("faces", range(1, N + 1),

@@ -42,8 +42,8 @@ from typing import Dict, List, Sequence, Tuple
 from .exactlin import DimensionError, Matrix, rat, rat_str
 from .record import Record
 from .chain import ChainComplex
-from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_int, _as_list,
-                        _check_dim, _req, parse_rational)
+from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_list, _check_dim,
+                        _field, parse_rational)
 
 Vec = Tuple[Fraction, ...]
 
@@ -388,37 +388,36 @@ class KoszulSpec(Record):
     lambdas: Tuple[Tuple[Fraction, ...], ...]
 
 
-def _parse_fd_algebra(d: dict, ctx: _Ctx, path: str) -> FDAlgebra:
-    m = _check_dim(_as_int(_req(d, "dim", path), f"{path}.dim"), f"{path}.dim", ctx.cap)
-    structure_raw = _as_list(_req(d, "structure", path), f"{path}.structure")
-    if len(structure_raw) != m:
+def _rationals(x, n: int, ctx: _Ctx, path: str, wrong: str) -> Vec:
+    """x as a vector of n rationals; `wrong` at path if its length is not n."""
+    x = _as_list(x, path)
+    if len(x) != n:
+        raise DocumentError(wrong, path)
+    return tuple(parse_rational(v, ctx.strict, ctx.warn, f"{path}[{k}]")
+                 for k, v in enumerate(x))
+
+
+def _parse_fd_algebra(d, ctx: _Ctx, path: str) -> FDAlgebra:
+    d = _as_dict(d, path)
+    m = _check_dim(_field(d, "dim", path), f"{path}.dim", ctx.cap)
+    planes = _field(d, "structure", path, _as_list)
+    if len(planes) != m:
         raise DocumentError("structure must have dim planes", f"{path}.structure")
     structure = []
-    for i, plane in enumerate(structure_raw):
+    for i, plane in enumerate(planes):
         plane = _as_list(plane, f"{path}.structure[{i}]")
         if len(plane) != m:
             raise DocumentError("plane has wrong size", f"{path}.structure[{i}]")
-        prow = []
-        for j, row in enumerate(plane):
-            row = _as_list(row, f"{path}.structure[{i}][{j}]")
-            if len(row) != m:
-                raise DocumentError("row has wrong size", f"{path}.structure[{i}][{j}]")
-            prow.append(tuple(parse_rational(x, ctx.strict, ctx.warn,
-                                             f"{path}.structure[{i}][{j}][{k}]")
-                              for k, x in enumerate(row)))
-        structure.append(tuple(prow))
-    unit_raw = _as_list(_req(d, "unit", path), f"{path}.unit")
-    if len(unit_raw) != m:
-        raise DocumentError("unit vector has wrong length", f"{path}.unit")
-    unit = tuple(parse_rational(x, ctx.strict, ctx.warn, f"{path}.unit[{k}]")
-                 for k, x in enumerate(unit_raw))
+        structure.append(tuple(_rationals(row, m, ctx, f"{path}.structure[{i}][{j}]",
+                                          "row has wrong size") for j, row in enumerate(plane)))
+    unit = _rationals(_field(d, "unit", path), m, ctx, f"{path}.unit",
+                      "unit vector has wrong length")
     return FDAlgebra(m, tuple(structure), unit)
 
 
 def _parse_koszul(d: dict, ctx: _Ctx, path: str) -> KoszulSpec:
-    alg = _parse_fd_algebra(_as_dict(_req(d, "algebra", path), f"{path}.algebra"),
-                            ctx, f"{path}.algebra")
-    lams_raw = _as_list(_req(d, "lambdas", path), f"{path}.lambdas")
+    alg = _parse_fd_algebra(_field(d, "algebra", path), ctx, f"{path}.algebra")
+    lams_raw = _field(d, "lambdas", path, _as_list)
     # K has C(n, k) * dim basis vectors in degree k, most at k = n // 2
     n = len(lams_raw)
     largest = comb(n, n // 2) * alg.dim
@@ -426,15 +425,20 @@ def _parse_koszul(d: dict, ctx: _Ctx, path: str) -> KoszulSpec:
         raise DocumentError(f"{n} lambdas over a {alg.dim}-dimensional algebra imply a "
                             f"degree of dimension {largest}, which exceeds "
                             f"{MAX_DIM_ENV}={ctx.cap}", f"{path}.lambdas")
-    lams = []
-    for i, lam in enumerate(lams_raw):
-        lam = _as_list(lam, f"{path}.lambdas[{i}]")
-        if len(lam) != alg.dim:
-            raise DocumentError("lambda vector has wrong length", f"{path}.lambdas[{i}]")
-        lams.append(tuple(parse_rational(x, ctx.strict, ctx.warn,
-                                         f"{path}.lambdas[{i}][{k}]")
-                          for k, x in enumerate(lam)))
-    return KoszulSpec(alg, tuple(lams))
+    return KoszulSpec(alg, tuple(_rationals(lam, alg.dim, ctx, f"{path}.lambdas[{i}]",
+                                            "lambda vector has wrong length")
+                                 for i, lam in enumerate(lams_raw)))
+
+
+def validate_spec(spec) -> List[str]:
+    """The problems of a Koszul input: its algebra's, or else the construction's."""
+    problems = spec.algebra.validate()
+    if not problems:
+        try:
+            koszul(spec.algebra, spec.lambdas)
+        except AlgebraError as e:
+            problems = [str(e)]
+    return problems
 
 
 def _fd_algebra_json(A) -> dict:

@@ -44,7 +44,7 @@ from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_complex,
                     tensor, tensor_map, tensor_map_blocks, tensor_map_comps, unit_complex,
                     validate_complex, zero_complex)
 from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
-                        _components_json, _parse_chain_complex, _parse_components, _req)
+                        _complex, _components_json, _field, _parse_components)
 
 
 # -- finite posets and the K_0 shadow ----------------------------------------
@@ -518,16 +518,14 @@ def fib_action(f: ChainMap) -> ChainMap:
 # -- document codecs (rows of documents._TYPES) ---------------------------------
 
 def _parse_fin_poset(d: dict, ctx: _Ctx, path: str) -> FinPoset:
-    labels_raw = _as_list(_req(d, "labels", path), f"{path}.labels")
-    labels = []
-    for i, s in enumerate(labels_raw):
+    labels = _field(d, "labels", path, _as_list)
+    for i, s in enumerate(labels):
         if not isinstance(s, str):
             raise DocumentError("labels must be strings", f"{path}.labels[{i}]")
-        labels.append(s)
     if len(set(labels)) != len(labels):
         raise DocumentError("labels must be distinct", f"{path}.labels")
     _check_dim(len(labels), f"{path}.labels", ctx.cap)
-    leq_raw = _as_list(_req(d, "leq", path), f"{path}.leq")
+    leq_raw = _field(d, "leq", path, _as_list)
     if len(leq_raw) != len(labels):
         raise DocumentError("leq must be square over the labels", f"{path}.leq")
     leq = []
@@ -543,13 +541,13 @@ def _parse_fin_poset(d: dict, ctx: _Ctx, path: str) -> FinPoset:
 
 
 def _parse_int_matrix(d: dict, ctx: _Ctx, path: str) -> IntMatrix:
-    rl = _as_list(_req(d, "row_labels", path), f"{path}.row_labels")
-    cl = _as_list(_req(d, "col_labels", path), f"{path}.col_labels")
+    rl = _field(d, "row_labels", path, _as_list)
+    cl = _field(d, "col_labels", path, _as_list)
     if not all(isinstance(s, str) for s in rl + cl):
         raise DocumentError("labels must be strings", path)
     _check_dim(len(rl), f"{path}.row_labels", ctx.cap)
     _check_dim(len(cl), f"{path}.col_labels", ctx.cap)
-    ent_raw = _as_list(_req(d, "entries", path), f"{path}.entries")
+    ent_raw = _field(d, "entries", path, _as_list)
     if len(ent_raw) != len(rl):
         raise DocumentError("entry rows do not match row_labels", f"{path}.entries")
     ent = []
@@ -563,21 +561,17 @@ def _parse_int_matrix(d: dict, ctx: _Ctx, path: str) -> IntMatrix:
 
 
 def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
-    g_src = _parse_chain_complex(_as_dict(_req(d, "g_src", path), f"{path}.g_src"),
-                                 ctx, f"{path}.g_src")
-    g_tgt = _parse_chain_complex(_as_dict(_req(d, "g_tgt", path), f"{path}.g_tgt"),
-                                 ctx, f"{path}.g_tgt")
+    g_src = _complex(d, "g_src", ctx, path)
+    g_tgt = _complex(d, "g_tgt", ctx, path)
     entries = {}
-    ent_raw = _as_dict(_req(d, "entries", path), f"{path}.entries")
+    ent_raw = _field(d, "entries", path, _as_dict)
     for t in (0, 1):
         for s in (0, 1):
             key = f"{t},{s}"
             if key not in ent_raw:
                 raise DocumentError(f"missing entry {key!r}", f"{path}.entries")
-            entries[(t, s)] = _parse_chain_complex(
-                _as_dict(ent_raw[key], f"{path}.entries.{key}"), ctx,
-                f"{path}.entries.{key}")
-    cells_raw = _as_dict(_req(d, "cells", path), f"{path}.cells")
+            entries[(t, s)] = _complex(ent_raw, key, ctx, f"{path}.entries")
+    cells_raw = _field(d, "cells", path, _as_dict)
     t = tensor if ctx.memo is None else ctx.memo.tensor
     shapes = {
         "f0": (t(g_tgt, entries[(0, 0)]), entries[(1, 0)]),

@@ -23,8 +23,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .exactlin import DimensionError, Matrix
 from .chain import ChainComplex, ChainMap, cone
 from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_int, _as_list,
-                        _check_dim, _components_json, _parse_chain_complex, _parse_components,
-                        _parse_matrix, _parse_subset, _req, _subset_key)
+                        _check_dim, _components_json, _field, _int_keys, _parse_chain_complex,
+                        _parse_components, _parse_matrix, _subset_key, _subset_keys,
+                        check_cube_size, cube_subsets)
 
 
 MultiDeg = Tuple[int, ...]
@@ -197,13 +198,14 @@ class ChainCube:
                  edges: Dict[int, Dict[Subset, ChainMap]]):
         self.n = n
         self.vertices = {frozenset(J): v for J, v in vertices.items()}
-        for J in self._all_subsets():
+        subsets = cube_subsets(n)
+        for J in subsets:
             if J not in self.vertices:
                 raise DimensionError(f"missing vertex {sorted(J)}")
         self.edges = {}
         for i in range(1, n + 1):
             self.edges[i] = {}
-            for J in self._all_subsets():
+            for J in subsets:
                 if i not in J:
                     continue
                 e = edges.get(i, {}).get(frozenset(J))
@@ -212,12 +214,6 @@ class ChainCube:
                 if e.source != self.vertices[J] or e.target != self.vertices[J - {i}]:
                     raise DimensionError(f"edge endpoints wrong along axis {i} at {sorted(J)}")
                 self.edges[i][frozenset(J)] = e
-
-    def _all_subsets(self) -> List[Subset]:
-        out = []
-        for bits in product((0, 1), repeat=self.n):
-            out.append(frozenset(i + 1 for i in range(self.n) if bits[i]))
-        return out
 
     def edge(self, i: int, J: Subset) -> ChainMap:
         return self.edges[i][frozenset(J)]
@@ -235,7 +231,7 @@ def validate_chain_cube(Q: ChainCube) -> List[str]:
                 report.append(f"edge axis {i} at {sorted(J)}: {msg}")
     for i in range(1, Q.n + 1):
         for j in range(i + 1, Q.n + 1):
-            for J in Q._all_subsets():
+            for J in cube_subsets(Q.n):
                 if i in J and j in J:
                     lhs = Q.edge(j, J - {i}).compose(Q.edge(i, J))
                     rhs = Q.edge(i, J - {j}).compose(Q.edge(j, J))
@@ -249,14 +245,14 @@ def _collapse_first_axis(Q: ChainCube) -> ChainCube:
     n = Q.n
     new_vertices: Dict[Subset, ChainComplex] = {}
     cones = {}
-    for J in Q._all_subsets():
+    for J in cube_subsets(Q.n):
         if 1 in J:
             continue
         c = cone(Q.edge(1, J | {1}))
         cones[J] = c
         new_vertices[frozenset(i - 1 for i in J)] = c.complex
     new_edges: Dict[int, Dict[Subset, ChainMap]] = {i: {} for i in range(1, n)}
-    for J in Q._all_subsets():
+    for J in cube_subsets(Q.n):
         if 1 in J:
             continue
         for i in sorted(J):
@@ -348,65 +344,55 @@ def _parse_deg(key: str, n: int, path: str) -> Tuple[int, ...]:
 
 
 def _parse_multicomplex(d: dict, ctx: _Ctx, path: str) -> MultiComplex:
-    n = _as_int(_req(d, "n", path), f"{path}.n")
+    n = _field(d, "n", path, _as_int)
     if n < 1:
         raise DocumentError("n must be at least 1", f"{path}.n")
-    sup = _as_dict(_req(d, "support", path), f"{path}.support")
-    lo = [_as_int(x, f"{path}.support.lo") for x in _as_list(_req(sup, "lo", f"{path}.support"), f"{path}.support.lo")]
-    hi = [_as_int(x, f"{path}.support.hi") for x in _as_list(_req(sup, "hi", f"{path}.support"), f"{path}.support.hi")]
+    at = f"{path}.support"
+    sup = _field(d, "support", path, _as_dict)
+    lo = [_as_int(x, f"{at}.lo") for x in _field(sup, "lo", at, _as_list)]
+    hi = [_as_int(x, f"{at}.hi") for x in _field(sup, "hi", at, _as_list)]
     if len(lo) != n or len(hi) != n:
-        raise DocumentError("support bounds must have one entry per axis", f"{path}.support")
+        raise DocumentError("support bounds must have one entry per axis", at)
     # every multidegree of the box gets a matrix per axis: cap the count first
     volume = 1
     for l, h in zip(lo, hi):
         volume *= max(h - l + 1, 0)
         if volume > ctx.cap:
             raise DocumentError(f"the support box holds more than {MAX_DIM_ENV}={ctx.cap} "
-                                "multidegrees", f"{path}.support")
-    dims = {}
-    for key, v in _as_dict(_req(d, "dims", path), f"{path}.dims").items():
-        a = _parse_deg(key, n, f"{path}.dims")
-        dims[a] = _check_dim(_as_int(v, f"{path}.dims.{key}"), f"{path}.dims.{key}", ctx.cap)
+                                "multidegrees", at)
+    dims = {_parse_deg(key, n, f"{path}.dims"): _check_dim(v, f"{path}.dims.{key}", ctx.cap)
+            for key, v in _field(d, "dims", path, _as_dict).items()}
     probe = MultiComplex(n, lo, hi, dims)
     diffs: Dict[int, Dict[Tuple[int, ...], Matrix]] = {}
-    for axkey, table in _as_dict(d.get("differentials", {}), f"{path}.differentials").items():
-        try:
-            j = int(axkey)
-        except ValueError:
-            raise DocumentError(f"bad axis key {axkey!r}", f"{path}.differentials")
-        if not (1 <= j <= n):
-            raise DocumentError(f"axis {j} out of range", f"{path}.differentials")
+    at = f"{path}.differentials"
+    for j, axkey, table in _int_keys(_field(d, "differentials", path, default={}), at, "axis",
+                                     range(1, n + 1), "axis {} out of range"):
         diffs[j] = {}
-        for key, mat in _as_dict(table, f"{path}.differentials.{axkey}").items():
-            a = _parse_deg(key, n, f"{path}.differentials.{axkey}")
+        for key, mat in _as_dict(table, f"{at}.{axkey}").items():
+            a = _parse_deg(key, n, f"{at}.{axkey}")
             b = tuple(x - (1 if t == j - 1 else 0) for t, x in enumerate(a))
-            diffs[j][a] = _parse_matrix(mat, ctx, f"{path}.differentials.{axkey}.{key}",
+            diffs[j][a] = _parse_matrix(mat, ctx, f"{at}.{axkey}.{key}",
                                         rows=probe.dim(b), cols=probe.dim(a))
     return MultiComplex(n, lo, hi, dims, diffs)
 
 
 def _parse_chain_cube(d: dict, ctx: _Ctx, path: str) -> ChainCube:
-    n = _as_int(_req(d, "n", path), f"{path}.n")
-    vertices = {}
-    for key, v in _as_dict(_req(d, "vertices", path), f"{path}.vertices").items():
-        J = _parse_subset(key, f"{path}.vertices")
-        vertices[J] = _parse_chain_complex(_as_dict(v, f"{path}.vertices.{key}"),
-                                           ctx, f"{path}.vertices.{key}")
+    n = _field(d, "n", path, _as_int)
+    if n < 0:
+        raise DocumentError("n must be nonnegative", f"{path}.n")
+    check_cube_size(n, ctx.cap, f"{path}.n")
+    vertices = {J: _parse_chain_complex(v, ctx, f"{path}.vertices.{key}")
+                for J, key, v in _subset_keys(_field(d, "vertices", path), f"{path}.vertices")}
     edges: Dict[int, Dict[frozenset, ChainMap]] = {}
-    for axkey, table in _as_dict(_req(d, "edges", path), f"{path}.edges").items():
-        try:
-            i = int(axkey)
-        except ValueError:
-            raise DocumentError(f"bad axis key {axkey!r}", f"{path}.edges")
+    for i, axkey, table in _int_keys(_field(d, "edges", path), f"{path}.edges", "axis"):
         edges[i] = {}
-        for key, comps in _as_dict(table, f"{path}.edges.{axkey}").items():
-            J = _parse_subset(key, f"{path}.edges.{axkey}")
+        at = f"{path}.edges.{axkey}"
+        for J, key, comps in _subset_keys(table, at):
             if J not in vertices or (J - {i}) not in vertices:
-                raise DocumentError(f"edge at {key!r} references missing vertices",
-                                    f"{path}.edges.{axkey}")
-            cm = _parse_components(comps, vertices[J], vertices[J - {i}], ctx,
-                                   f"{path}.edges.{axkey}.{key}")
-            edges[i][J] = ChainMap(vertices[J], vertices[J - {i}], cm)
+                raise DocumentError(f"edge at {key!r} references missing vertices", at)
+            src, tgt = vertices[J], vertices[J - {i}]
+            edges[i][J] = ChainMap(src, tgt,
+                                   _parse_components(comps, src, tgt, ctx, f"{at}.{key}"))
     try:
         return ChainCube(n, vertices, edges)
     except DimensionError as e:

@@ -32,9 +32,10 @@ from typing import Dict, FrozenSet, List, Tuple
 from .exactlin import DimensionError, Matrix
 from .record import Record
 from .chain import ChainComplex, ChainMap, ChainHomotopy, homotopy_failures, validate_complex
-from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_int, _as_list,
-                        _check_dim, _components_json, _parse_chain_complex, _parse_components,
-                        _parse_matrix, _parse_subset, _req, _subset_key)
+from .documents import (DocumentError, _Ctx, _as_int, _as_list, _check_dim,
+                        _components_json, _dims, _field, _int_keys, _parse_chain_complex,
+                        _parse_components, _parse_matrix, _subset_key, _subset_keys,
+                        check_cube_size, cube_subsets)
 
 
 class PervDisk(Record):
@@ -177,17 +178,9 @@ class PervCube(Record):
         return self.g[i][frozenset(J)]
 
 
-def _cube_subsets(n: int) -> List[Subset]:
-    from itertools import product
-    out = []
-    for bits in product((0, 1), repeat=n):
-        out.append(frozenset(i + 1 for i in range(n) if bits[i]))
-    return out
-
-
 def validate_cube(P: PervCube) -> List[str]:
     report = []
-    subs = _cube_subsets(P.n)
+    subs = cube_subsets(P.n)
     for J in subs:
         for i in range(1, P.n + 1):
             if i in J:
@@ -241,12 +234,12 @@ def flag_embed_cube(P: PervFlag) -> PervCube:
     """
     n = P.n
     dims: Dict[Subset, int] = {}
-    for J in _cube_subsets(n):
+    for J in cube_subsets(n):
         k = len(J)
         dims[J] = P.dims[k] if J == frozenset(range(1, k + 1)) else 0
     f: Dict[int, Dict[Subset, Matrix]] = {i: {} for i in range(1, n + 1)}
     g: Dict[int, Dict[Subset, Matrix]] = {i: {} for i in range(1, n + 1)}
-    for J in _cube_subsets(n):
+    for J in cube_subsets(n):
         for i in range(1, n + 1):
             if i in J:
                 continue
@@ -437,21 +430,17 @@ def verify_encoding(E: SheafEncoding) -> List[str]:
 # -- document codecs (rows of documents._TYPES) ---------------------------------
 
 def _parse_perv_disk(d: dict, ctx: _Ctx, path: str) -> PervDisk:
-    f = _parse_matrix(_req(d, "f", path), ctx, f"{path}.f")
-    g = _parse_matrix(_req(d, "g", path), ctx, f"{path}.g",
+    f = _parse_matrix(_field(d, "f", path), ctx, f"{path}.f")
+    g = _parse_matrix(_field(d, "g", path), ctx, f"{path}.g",
                       rows=f.cols, cols=f.rows)
     return PervDisk(f, g)
 
 
 def _parse_perv_flag(d: dict, ctx: _Ctx, path: str) -> PervFlag:
-    dims_raw = _as_list(_req(d, "dims", path), f"{path}.dims")
-    if not dims_raw:
-        raise DocumentError("dims must be nonempty", f"{path}.dims")
-    dims = tuple(_check_dim(_as_int(x, f"{path}.dims[{i}]"), f"{path}.dims[{i}]", ctx.cap)
-                 for i, x in enumerate(dims_raw))
+    dims = _dims(d, path, ctx.cap, bool, "dims must be nonempty")
     n = len(dims) - 1
-    d_raw = _as_list(_req(d, "d", path), f"{path}.d")
-    delta_raw = _as_list(_req(d, "delta", path), f"{path}.delta")
+    d_raw = _field(d, "d", path, _as_list)
+    delta_raw = _field(d, "delta", path, _as_list)
     if len(d_raw) != n or len(delta_raw) != n:
         raise DocumentError(f"need exactly {n} maps in d and delta", path)
     ds = tuple(_parse_matrix(m, ctx, f"{path}.d[{k}]", rows=dims[k + 1], cols=dims[k])
@@ -462,39 +451,24 @@ def _parse_perv_flag(d: dict, ctx: _Ctx, path: str) -> PervFlag:
     return PervFlag(dims, ds, deltas)
 
 
-def check_cube_size(n: int, cap: int, path: str) -> None:
-    """Exit-2 error at path when the n-cube's 2^n vertices exceed cap."""
-    if n >= cap.bit_length():  # 2^n > cap
-        shown = n if n < 10 ** 100 else "over 10^100"
-        raise DocumentError(f"the n-cube for n = {shown} has 2^n vertices, more than "
-                            f"{MAX_DIM_ENV}={cap}", path)
-
-
 def _parse_perv_cube(d: dict, ctx: _Ctx, path: str) -> PervCube:
-    n = _as_int(_req(d, "n", path), f"{path}.n")
+    n = _field(d, "n", path, _as_int)
     if n < 1:
         raise DocumentError("n must be at least 1", f"{path}.n")
     check_cube_size(n, ctx.cap, f"{path}.n")
-    dims = {}
-    for key, v in _as_dict(_req(d, "dims", path), f"{path}.dims").items():
-        J = _parse_subset(key, f"{path}.dims")
-        dims[J] = _check_dim(_as_int(v, f"{path}.dims.{key}"), f"{path}.dims.{key}", ctx.cap)
+    dims = {J: _check_dim(v, f"{path}.dims.{key}", ctx.cap)
+            for J, key, v in _subset_keys(_field(d, "dims", path), f"{path}.dims")}
 
     def dim_of(J) -> int:
         return dims.get(frozenset(J), 0)
 
     def parse_side(field: str, rows_of, cols_of):
         out: Dict[int, Dict[frozenset, Matrix]] = {}
-        for axkey, table in _as_dict(_req(d, field, path), f"{path}.{field}").items():
-            try:
-                i = int(axkey)
-            except ValueError:
-                raise DocumentError(f"bad axis key {axkey!r}", f"{path}.{field}")
-            out[i] = {}
-            for key, mat in _as_dict(table, f"{path}.{field}.{axkey}").items():
-                J = _parse_subset(key, f"{path}.{field}.{axkey}")
-                out[i][J] = _parse_matrix(mat, ctx, f"{path}.{field}.{axkey}.{key}",
-                                          rows=rows_of(i, J), cols=cols_of(i, J))
+        for i, axkey, table in _int_keys(_field(d, field, path), f"{path}.{field}", "axis"):
+            at = f"{path}.{field}.{axkey}"
+            out[i] = {J: _parse_matrix(mat, ctx, f"{at}.{key}",
+                                       rows=rows_of(i, J), cols=cols_of(i, J))
+                      for J, key, mat in _subset_keys(table, at)}
         return out
 
     f = parse_side("f", lambda i, J: dim_of(J), lambda i, J: dim_of(J | {i}))
@@ -503,8 +477,8 @@ def _parse_perv_cube(d: dict, ctx: _Ctx, path: str) -> PervCube:
 
 
 def _parse_local_star(d: dict, ctx: _Ctx, path: str) -> LocalStar:
-    f_raw = _as_list(_req(d, "f", path), f"{path}.f")
-    g_raw = _as_list(_req(d, "g", path), f"{path}.g")
+    f_raw = _field(d, "f", path, _as_list)
+    g_raw = _field(d, "g", path, _as_list)
     if not f_raw or len(f_raw) != len(g_raw):
         raise DocumentError("f and g must be nonempty lists of equal length", path)
     fs = [_parse_matrix(m, ctx, f"{path}.f[{i}]") for i, m in enumerate(f_raw)]
@@ -515,19 +489,17 @@ def _parse_local_star(d: dict, ctx: _Ctx, path: str) -> LocalStar:
 
 
 def _parse_sheaf_encoding(d: dict, ctx: _Ctx, path: str) -> SheafEncoding:
-    dual = _req(d, "dual", path)
+    dual = _field(d, "dual", path)
     if not isinstance(dual, bool):
         raise DocumentError("dual must be a boolean", f"{path}.dual")
-    stalks = [
-        _parse_chain_complex(_as_dict(s, f"{path}.stalks[{i}]"), ctx, f"{path}.stalks[{i}]")
-        for i, s in enumerate(_as_list(_req(d, "stalks", path), f"{path}.stalks"))
-    ]
+    stalks = [_parse_chain_complex(s, ctx, f"{path}.stalks[{i}]")
+              for i, s in enumerate(_field(d, "stalks", path, _as_list))]
     if not stalks:
         raise DocumentError("need at least one stalk", f"{path}.stalks")
     m = len(stalks) - 1
-    maps_raw = _as_list(_req(d, "maps", path), f"{path}.maps")
-    mono_raw = _as_list(_req(d, "monodromies", path), f"{path}.monodromies")
-    homo_raw = _as_list(_req(d, "homotopies", path), f"{path}.homotopies")
+    maps_raw = _field(d, "maps", path, _as_list)
+    mono_raw = _field(d, "monodromies", path, _as_list)
+    homo_raw = _field(d, "homotopies", path, _as_list)
     if len(maps_raw) != m or len(mono_raw) != m or len(homo_raw) != m:
         raise DocumentError(f"need exactly {m} maps, monodromies and homotopies", path)
     maps = []
