@@ -390,10 +390,14 @@ def block_table(As: Tuple[Tuple[int, int], ...], Bs: Tuple[Tuple[int, int], ...]
     return dim, off
 
 
-def tensor_dims(A: ChainComplex, B: ChainComplex) -> Dict[int, int]:
-    """Dimension of (A (x) B)_n by degree n, from the dimensions alone."""
-    dim = block_table(A.support, B.support)[0]
-    return {n: dim.get(n, 0) for n in range(A.lo + B.lo, A.hi + B.hi + 1)}
+def tensor_dims(*factors: ChainComplex) -> Dict[int, int]:
+    """Dimension by degree n of the tensor product of two or more factors,
+    over its window, from the dimensions alone."""
+    dim = dict(factors[0].support)
+    for X in factors[1:]:
+        dim = block_table(tuple(sorted(dim.items())), X.support)[0]
+    lo, hi = sum(X.lo for X in factors), sum(X.hi for X in factors)
+    return {n: dim.get(n, 0) for n in range(lo, hi + 1)}
 
 
 def tensor(A: ChainComplex, B: ChainComplex) -> ChainComplex:

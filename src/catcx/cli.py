@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from .exactlin import DimensionError, rat_str
-from .documents import (MAX_DIM_ENV, DocumentError, check_cube_size, dim_cap, parse_document,
+from .documents import (DocumentError, check_cube_size, check_dims, dim_cap, parse_document,
                         problems_of, serialize_document, tag_of)
 
 # Each handler imports the modules it runs, so a call loads only what its
@@ -89,12 +89,7 @@ def _valid(args, tag: str, *files: str, dims=None, check=problems_of, memo=None)
     """
     objs = [_load(getattr(args, f), args.strict, tag, memo=memo) for f in files]
     if dims is not None:
-        cap = dim_cap()
-        for k, n in dims(*objs).items():
-            if n > cap:
-                shown = n if n < 10 ** 100 else "over 10^100"
-                raise DocumentError(f"the result has dimension {shown} in degree {k}, "
-                                    f"which exceeds {MAX_DIM_ENV}={cap}")
+        check_dims(dims(*objs), dim_cap(), "the result")
     for obj in objs:
         _require_valid(obj, check(obj))
     return objs
@@ -249,9 +244,9 @@ def cmd_k0_compose(args):
 
 def cmd_lax_compose(args):
     from .chain import TensorMemo
-    from .laxmat import lax_compose_delta1, validate_delta1_matrix
+    from .laxmat import lax_compose_delta1, lax_compose_dims, validate_delta1_matrix
     memo = TensorMemo()  # parsing's and the checks' tensor products, reused by the composition
-    N, M = _valid(args, "delta1_chain_matrix", "left", "right",
+    N, M = _valid(args, "delta1_chain_matrix", "left", "right", dims=lax_compose_dims,
                   check=lambda D: validate_delta1_matrix(D, memo), memo=memo)
     return 0, lax_compose_delta1(N, M, memo)
 

@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from importlib import import_module
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
-from .exactlin import _QUOTED, DimensionError, Matrix, rat_str
+from .exactlin import _QUOTED, DimensionError, Matrix, _fraction, rat_str
 from .record import Record
 
 MAX_DIM_ENV = "CATCX_MAX_DIM"
@@ -103,6 +102,16 @@ def check_cube_size(n: int, cap: int, path: str) -> None:
                             f"{MAX_DIM_ENV}={cap}", path)
 
 
+def check_dims(dims: Dict[int, int], cap: int, what: str, path: str = "$") -> None:
+    """Exit-2 error at path when `what`, of dimension dims[k] in degree k,
+    exceeds cap in some degree."""
+    for k, n in dims.items():
+        if n > cap:
+            shown = n if n < 10 ** 100 else "over 10^100"
+            raise DocumentError(f"{what} has dimension {shown} in degree {k}, which exceeds "
+                                f"{MAX_DIM_ENV}={cap}", path)
+
+
 def cube_subsets(n: int) -> list:
     """The 2^n subsets of {1..n}, as frozensets."""
     from itertools import compress, product
@@ -133,15 +142,17 @@ def _canonical_int(x: str) -> Optional[int]:
     return None
 
 
-def parse_rational(x, strict: bool, warn: Warn, path: str) -> Fraction:
+def parse_rational(x, strict: bool, warn: Warn, path: str) -> Union[int, "Fraction"]:
+    """x as an int when it is integral, else as a Fraction; only a spelling
+    other than a canonical int imports `fractions`."""
     if isinstance(x, str):
         n = _canonical_int(x)
         if n is not None:  # skip Fraction's string parser
-            return Fraction(n)
+            return n
         if _exponent_too_large(x):
             raise DocumentError(f"rational exceeds {MAX_RATIONAL_DIGITS} digits", path)
         try:
-            v = Fraction(x)
+            v = _fraction()(x)
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"not a rational: {x!r}", path)
         if abs(v.numerator) >= _TOO_MANY_DIGITS or v.denominator >= _TOO_MANY_DIGITS:
@@ -151,13 +162,13 @@ def parse_rational(x, strict: bool, warn: Warn, path: str) -> Fraction:
                 raise DocumentError(f"non-canonical rational {x!r}", path)
             if warn:
                 warn(f"{path}: normalized non-canonical rational {x!r} to {rat_str(v)!r}")
-        return v
+        return v.numerator if v.denominator == 1 else v
     if isinstance(x, int) and not isinstance(x, bool):
         if strict:
             raise DocumentError("rationals must be strings in strict mode", path)
         if warn:
             warn(f"{path}: rational given as a JSON number")
-        return Fraction(x)
+        return x
     raise DocumentError(f"not a rational: {x!r}", path)
 
 
@@ -266,13 +277,21 @@ def _subset_key(J) -> str:
     return ",".join(str(i) for i in sorted(J))
 
 
-def _subset_keys(table, path: str):
-    """(J, key, value) per item of the object table, whose keys are subsets."""
+def _subset_keys(table, path: str, n: Optional[int] = None):
+    """(J, key, value) per item of the object table, whose keys are subsets,
+    each named by one key only, and of {1..n} when n is given; an error is
+    raised at the key's path."""
+    named = {}
     for key, value in _as_dict(table, path).items():
         try:
             J = frozenset(map(int, key.split(","))) if key else frozenset()
         except ValueError:
             raise DocumentError(f"bad subset key {key!r}", path)
+        if n is not None and J and not (1 <= min(J) and max(J) <= n):
+            raise DocumentError(f"subset has an element outside 1..{n}", f"{path}.{key}")
+        if J in named:
+            raise DocumentError(f"subset already named by key {named[J]!r}", f"{path}.{key}")
+        named[J] = key
         yield J, key, value
 
 

@@ -20,9 +20,10 @@ only when next used, exactly, as every Bareiss entry is a minor), and
 `rref`, `kernel_basis`, `solve` and `invert` share one fraction-free
 Gauss-Jordan on the numerators (every pivot ends equal to the same minor
 D, and the reduced form is the result divided by D).
-`fractions.Fraction` appears only at the API boundary: `m[i, j]`, `row`
-and `entries` return Fractions, and the constructor accepts ints, 'p/q'
-strings and Fractions.
+`fractions.Fraction` stays at the API boundary: `m[i, j]`, `row` and
+`entries` return Fractions, and the constructor accepts ints, 'p/q'
+strings and Fractions.  It is imported on first use (with `decimal` and
+`numbers`, which it loads), so work on integer matrices never loads it.
 
 Matrices are dense and immutable after construction.  Zero-by-n and
 n-by-zero matrices are legal and show up constantly (zero vector spaces
@@ -31,14 +32,26 @@ in chain degrees), so every routine must tolerate empty shapes.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-Rational = Fraction
+Scalar = Union[int, str, "Fraction"]
 
-Scalar = Union[int, str, Fraction]
+
+@cache
+def _fraction() -> type:
+    """fractions.Fraction, imported on first use (it loads decimal and numbers)."""
+    from fractions import Fraction
+    return Fraction
+
+
+def __getattr__(name):
+    # `Rational` is fractions.Fraction, imported when first asked for
+    if name == "Rational":
+        return _fraction()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DimensionError(ValueError):
@@ -47,6 +60,7 @@ class DimensionError(ValueError):
 
 def rat(x: Scalar) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to an exact rational."""
+    Fraction = _fraction()
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
@@ -54,8 +68,9 @@ def rat(x: Scalar) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def rat_str(x: Fraction) -> str:
-    """Serialize as 'p' or 'p/q'; inverse of `rat` on canonical strings."""
+def rat_str(x: Union[int, Fraction]) -> str:
+    """Serialize an int or a Fraction as 'p' or 'p/q'; inverse of `rat` on
+    canonical strings."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -269,17 +284,17 @@ class Matrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        return Fraction(self._e[i * self.cols + j], self._d)
+        return _fraction()(self._e[i * self.cols + j], self._d)
 
     def row(self, i: int) -> tuple:
-        d = self._d
+        Fraction, d = _fraction(), self._d
         return tuple(Fraction(x, d) for x in self._e[i * self.cols:(i + 1) * self.cols])
 
     def to_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def entries(self) -> tuple:
-        d = self._d
+        Fraction, d = _fraction(), self._d
         return tuple(Fraction(x, d) for x in self._e)
 
     def to_str_lists(self) -> list:
@@ -325,7 +340,7 @@ class Matrix:
         return Matrix._of(self.rows, self.cols, [-x for x in self._e], self._d)
 
     def scale(self, c: Scalar) -> "Matrix":
-        c = rat(c)
+        c = c if type(c) is int else rat(c)
         n = c.numerator
         e = self._e if n == 1 else [n * x for x in self._e]
         return Matrix._of(self.rows, self.cols, e, self._d * c.denominator if n else 1)

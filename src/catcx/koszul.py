@@ -2,7 +2,10 @@
 
 An algebra R is given by structure constants c[i][j][k] (coefficient of
 e_k in e_i * e_j) plus a unit vector; commutativity, associativity and the
-unit law are checked exactly. K(l_1, ..., l_n) is the free R-complex with
+unit law are checked exactly.  Every scalar is kept as an int when it is
+integral and as a Fraction only when it is not, so an algebra and lambdas
+with integer coefficients compute on ints alone and never load
+`fractions`.  K(l_1, ..., l_n) is the free R-complex with
 degree-k basis {e_S : S subset of {1..n}, |S| = k} and
 
     d e_S = sum over i in S of (-1)^(number of j in S below i) * l_i * e_{S - i}.
@@ -34,10 +37,9 @@ mean a sign error in one of the two conventions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .exactlin import DimensionError, Matrix, rat, rat_str
 from .record import Record
@@ -45,7 +47,15 @@ from .chain import ChainComplex
 from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_list, _check_dim,
                         _field, parse_rational)
 
-Vec = Tuple[Fraction, ...]
+Vec = Tuple[Union[int, "Fraction"], ...]
+
+
+def _scalar(x):
+    """x as an exact scalar: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    q = rat(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 class AlgebraError(ValueError):
@@ -64,9 +74,9 @@ class FDAlgebra:
     def __init__(self, dim: int, structure, unit):
         self.dim = dim
         self.structure = tuple(
-            tuple(tuple(rat(x) for x in row) for row in plane) for plane in structure
+            tuple(tuple(map(_scalar, row)) for row in plane) for plane in structure
         )
-        self.unit = tuple(rat(x) for x in unit)
+        self.unit = tuple(map(_scalar, unit))
         if len(self.structure) != dim or any(
             len(p) != dim or any(len(r) != dim for r in p) for p in self.structure
         ):
@@ -76,20 +86,20 @@ class FDAlgebra:
 
     @classmethod
     def rationals(cls) -> "FDAlgebra":
-        return cls(1, (((Fraction(1),),),), (Fraction(1),))
+        return cls(1, (((1,),),), (1,))
 
     def element(self, coeffs: Sequence) -> Vec:
-        v = tuple(rat(x) for x in coeffs)
+        v = tuple(map(_scalar, coeffs))
         if len(v) != self.dim:
             raise DimensionError("element coefficient vector has wrong length")
         return v
 
     def zero(self) -> Vec:
-        return (Fraction(0),) * self.dim
+        return (0,) * self.dim
 
     def mult(self, x: Vec, y: Vec) -> Vec:
         m = self.dim
-        out = [Fraction(0)] * m
+        out = [0] * m
         for i in range(m):
             if not x[i]:
                 continue
@@ -110,7 +120,7 @@ class FDAlgebra:
         m = self.dim
         cols = []
         for j in range(m):
-            basis_j = tuple(Fraction(1) if t == j else Fraction(0) for t in range(m))
+            basis_j = tuple(int(t == j) for t in range(m))
             cols.append(self.mult(x, basis_j))
         ent = [cols[j][k] for k in range(m) for j in range(m)]
         return Matrix(m, m, ent)
@@ -118,8 +128,7 @@ class FDAlgebra:
     def validate(self) -> List[str]:
         report = []
         m = self.dim
-        bas = [tuple(Fraction(1) if t == i else Fraction(0) for t in range(m))
-               for i in range(m)]
+        bas = [tuple(int(t == i) for t in range(m)) for i in range(m)]
         for i in range(m):
             for j in range(i + 1, m):
                 if self.mult(bas[i], bas[j]) != self.mult(bas[j], bas[i]):
@@ -360,22 +369,22 @@ def monomial_algebra(num_vars: int, max_degrees: Sequence[int]) -> Tuple[FDAlgeb
     basis = [tuple(e) for e in iproduct(*boxes)]
     idx = {e: i for i, e in enumerate(basis)}
     m = len(basis)
-    structure = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    structure = [[[0] * m for _ in range(m)] for _ in range(m)]
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             c = tuple(x + y for x, y in zip(a, b))
             if c in idx:
-                structure[i][j][idx[c]] = Fraction(1)
-    unit = [Fraction(0)] * m
-    unit[idx[(0,) * num_vars]] = Fraction(1)
+                structure[i][j][idx[c]] = 1
+    unit = [0] * m
+    unit[idx[(0,) * num_vars]] = 1
     return FDAlgebra(m, structure, unit), basis
 
 
-def variable_element(algebra_basis: List[Tuple[int, ...]], var: int) -> List[Fraction]:
+def variable_element(algebra_basis: List[Tuple[int, ...]], var: int) -> List[int]:
     """Coefficient vector of x_{var+1} in a monomial algebra."""
-    coeffs = [Fraction(0)] * len(algebra_basis)
+    coeffs = [0] * len(algebra_basis)
     target = tuple(1 if i == var else 0 for i in range(len(algebra_basis[0])))
-    coeffs[algebra_basis.index(target)] = Fraction(1)
+    coeffs[algebra_basis.index(target)] = 1
     return coeffs
 
 # -- document codecs (rows of documents._TYPES) ---------------------------------
@@ -385,7 +394,7 @@ class KoszulSpec(Record):
 
     __slots__ = ("algebra", "lambdas")
     algebra: FDAlgebra
-    lambdas: Tuple[Tuple[Fraction, ...], ...]
+    lambdas: Tuple[Vec, ...]
 
 
 def _rationals(x, n: int, ctx: _Ctx, path: str, wrong: str) -> Vec:

@@ -2,7 +2,10 @@
 
 K_0 level: finite posets, zeta and Moebius integer matrices, and the
 composition rule N . mobius(middle) . M for integer matrices indexed by
-poset elements.
+poset elements.  Moebius is computed by substitution over a linear
+extension (Rota 1964): mu(t, s) = [s = t] - sum of mu(u, s) over u <= t,
+u != t.  Only a relation that is not reflexive, or that has a cycle, is
+inverted by elimination, which finds the same inverse or the same error.
 
 Chain level: a Delta1ChainMatrix is a 2x2 grid of chain complexes over a
 pair of gluing complexes, carrying four structure chain maps
@@ -35,16 +38,17 @@ builds the tensored spans or their pushouts.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
 from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_complex,
                     euler_characteristic, inclusion, projection, shift, sum_cone,
-                    tensor, tensor_map, tensor_map_blocks, tensor_map_comps, unit_complex,
-                    validate_complex, zero_complex)
+                    tensor, tensor_dims, tensor_map, tensor_map_blocks, tensor_map_comps,
+                    unit_complex, validate_complex, zero_complex)
 from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
-                        _complex, _components_json, _field, _parse_components)
+                        _complex, _components_json, _field, _parse_components, check_dims)
 
 
 # -- finite posets and the K_0 shadow ----------------------------------------
@@ -128,19 +132,53 @@ class IntMatrix:
 def zeta(P: FinPoset) -> IntMatrix:
     """zeta[t][s] = 1 when s <= t in the poset."""
     n = P.size()
-    ent = [[1 if P.leq[s][t] else 0 for s in range(n)] for t in range(n)]
-    return IntMatrix(P.labels, P.labels, ent)
+    ent = [1 if x else 0 for col in zip(*P.leq) for x in col]  # row t is leq's column t
+    return IntMatrix._of(P.labels, P.labels, Matrix._of(n, n, ent))
+
+
+def _linear_extension(below: List[List[int]]) -> Optional[List[int]]:
+    """The indices ordered so that each t comes after every u in below[t],
+    or None when below has a cycle (Kahn's algorithm)."""
+    pending = [len(b) for b in below]
+    above = [[] for _ in below]
+    for t, b in enumerate(below):
+        for u in b:
+            above[u].append(t)
+    order = [t for t, k in enumerate(pending) if not k]
+    for u in order:  # grows while it is read
+        for t in above[u]:
+            pending[t] -= 1
+            if not pending[t]:
+                order.append(t)
+    return order if len(order) == len(below) else None
 
 
 def mobius(P: FinPoset) -> IntMatrix:
-    """Integer inverse of zeta; exists since zeta is unitriangular in any
-    linear extension."""
-    inv = zeta(P).matrix.invert()
-    if inv is None:
-        raise DimensionError("zeta matrix is singular; input is not a poset")
-    if inv._d != 1:
-        raise DimensionError("Moebius matrix is not integral")
-    return IntMatrix._of(P.labels, P.labels, inv)
+    """Integer inverse of zeta.  For a reflexive relation without cycles,
+    zeta is unitriangular in a linear extension, and zeta . mu = 1 is solved
+    there by substitution: row t of mu is e_t minus the rows of mu at every
+    u <= t, u != t.  Any other relation is inverted by elimination, which
+    raises DimensionError when zeta is singular or its inverse not integral."""
+    n, leq = P.size(), P.leq
+    order = None
+    if all(leq[t][t] for t in range(n)):
+        below = [[u for u in range(n) if u != t and leq[u][t]] for t in range(n)]
+        order = _linear_extension(below)
+    if order is None:
+        inv = zeta(P).matrix.invert()
+        if inv is None:
+            raise DimensionError("zeta matrix is singular; input is not a poset")
+        if inv._d != 1:
+            raise DimensionError("Moebius matrix is not integral")
+        return IntMatrix._of(P.labels, P.labels, inv)
+    mu = [None] * n
+    for t in order:
+        row = [0] * n
+        row[t] = 1
+        for u in below[t]:
+            row = list(map(sub, row, mu[u]))
+        mu[t] = row
+    return IntMatrix._of(P.labels, P.labels, Matrix._of(n, n, [x for r in mu for x in r]))
 
 
 def k0_compose(N: IntMatrix, M: IntMatrix, middle: FinPoset) -> IntMatrix:
@@ -490,6 +528,33 @@ def lax_compose_delta1(N: Delta1ChainMatrix, M: Delta1ChainMatrix,
                              **cells)
 
 
+def lax_compose_dims(N: Delta1ChainMatrix, M: Delta1ChainMatrix) -> Dict[int, int]:
+    """The largest dimension by degree of an entry of N . M or of the
+    source of one of its cells, from the dimensions alone.
+
+    Entry (u, s) is the pushout P with P_k = A_(k-1) (+) B_k (+) C_k for the
+    apex A = N_u1 (x) G (x) M_0s, B = N_u0 (x) M_0s and C = N_u1 (x) M_1s,
+    so the apex, a triple product, needs no check of its own; the cells'
+    sources are g_tgt (x) P_0s and P_u1 (x) g_src.  Every other product a
+    composition builds has the dimensions of a summand of one of these, or
+    of a product that parsing N or M has sized.
+    """
+    G, out = N.g_src, {}
+    entries = [(u, s, (), ()) for u in (0, 1) for s in (0, 1)]
+    cell_sources = ([(0, s, (N.g_tgt,), ()) for s in (0, 1)]
+                    + [(u, 1, (), (M.g_src,)) for u in (0, 1)])
+    for u, s, before, after in entries + cell_sources:
+        size = {}
+        for lag, parts in ((1, (N.entry(u, 1), G, M.entry(0, s))),
+                           (0, (N.entry(u, 0), M.entry(0, s))),
+                           (0, (N.entry(u, 1), M.entry(1, s)))):
+            for k, n in tensor_dims(*before, *parts, *after).items():
+                size[k + lag] = size.get(k + lag, 0) + n
+        for k, n in size.items():
+            out[k] = max(out.get(k, 0), n)
+    return out
+
+
 def k0_shadow(D: Delta1ChainMatrix) -> IntMatrix:
     """Entrywise Euler characteristics, rows and columns labelled 0, 1."""
     ent = [[euler_characteristic(D.entry(t, s)) for s in (0, 1)] for t in (0, 1)]
@@ -572,17 +637,21 @@ def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
                 raise DocumentError(f"missing entry {key!r}", f"{path}.entries")
             entries[(t, s)] = _complex(ent_raw, key, ctx, f"{path}.entries")
     cells_raw = _field(d, "cells", path, _as_dict)
+    # each cell's source, then the product the structure square is checked on
+    factors = {"f0": (g_tgt, entries[(0, 0)]), "0f": (entries[(0, 1)], g_src),
+               "f1": (g_tgt, entries[(0, 1)]), "1f": (entries[(1, 1)], g_src)}
+    for name, pair in factors.items():
+        check_dims(tensor_dims(*pair), ctx.cap, f"the source of cell {name}", f"{path}.cells")
+    check_dims(tensor_dims(g_tgt, entries[(0, 1)], g_src), ctx.cap,
+               "the structure square's g_tgt (x) entry 0,1 (x) g_src", path)
     t = tensor if ctx.memo is None else ctx.memo.tensor
-    shapes = {
-        "f0": (t(g_tgt, entries[(0, 0)]), entries[(1, 0)]),
-        "0f": (t(entries[(0, 1)], g_src), entries[(0, 0)]),
-        "f1": (t(g_tgt, entries[(0, 1)]), entries[(1, 1)]),
-        "1f": (t(entries[(1, 1)], g_src), entries[(1, 0)]),
-    }
+    targets = {"f0": entries[(1, 0)], "0f": entries[(0, 0)],
+               "f1": entries[(1, 1)], "1f": entries[(1, 0)]}
     cells = {}
-    for name, (src, tgt) in shapes.items():
+    for name, pair in factors.items():
         if name not in cells_raw:
             raise DocumentError(f"missing cell {name!r}", f"{path}.cells")
+        src, tgt = t(*pair), targets[name]
         comps = _parse_components(cells_raw[name], src, tgt, ctx, f"{path}.cells.{name}")
         cells[name] = ChainMap(src, tgt, comps)
     return Delta1ChainMatrix(g_src, g_tgt, entries,

@@ -382,11 +382,13 @@ def _parse_chain_cube(d: dict, ctx: _Ctx, path: str) -> ChainCube:
         raise DocumentError("n must be nonnegative", f"{path}.n")
     check_cube_size(n, ctx.cap, f"{path}.n")
     vertices = {J: _parse_chain_complex(v, ctx, f"{path}.vertices.{key}")
-                for J, key, v in _subset_keys(_field(d, "vertices", path), f"{path}.vertices")}
+                for J, key, v in _subset_keys(_field(d, "vertices", path), f"{path}.vertices", n)}
     edges: Dict[int, Dict[frozenset, ChainMap]] = {}
-    for i, axkey, table in _int_keys(_field(d, "edges", path), f"{path}.edges", "axis"):
+    for i, axkey, table in _int_keys(_field(d, "edges", path), f"{path}.edges", "axis",
+                                     range(1, n + 1), "axis {} out of range"):
         edges[i] = {}
         at = f"{path}.edges.{axkey}"
+        # an edge's subset needs no range of its own: its vertices must exist
         for J, key, comps in _subset_keys(table, at):
             if J not in vertices or (J - {i}) not in vertices:
                 raise DocumentError(f"edge at {key!r} references missing vertices", at)

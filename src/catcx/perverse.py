@@ -457,18 +457,19 @@ def _parse_perv_cube(d: dict, ctx: _Ctx, path: str) -> PervCube:
         raise DocumentError("n must be at least 1", f"{path}.n")
     check_cube_size(n, ctx.cap, f"{path}.n")
     dims = {J: _check_dim(v, f"{path}.dims.{key}", ctx.cap)
-            for J, key, v in _subset_keys(_field(d, "dims", path), f"{path}.dims")}
+            for J, key, v in _subset_keys(_field(d, "dims", path), f"{path}.dims", n)}
 
     def dim_of(J) -> int:
         return dims.get(frozenset(J), 0)
 
     def parse_side(field: str, rows_of, cols_of):
         out: Dict[int, Dict[frozenset, Matrix]] = {}
-        for i, axkey, table in _int_keys(_field(d, field, path), f"{path}.{field}", "axis"):
+        for i, axkey, table in _int_keys(_field(d, field, path), f"{path}.{field}", "axis",
+                                         range(1, n + 1), "axis {} out of range"):
             at = f"{path}.{field}.{axkey}"
             out[i] = {J: _parse_matrix(mat, ctx, f"{at}.{key}",
                                        rows=rows_of(i, J), cols=cols_of(i, J))
-                      for J, key, mat in _subset_keys(table, at)}
+                      for J, key, mat in _subset_keys(table, at, n)}
         return out
 
     f = parse_side("f", lambda i, J: dim_of(J), lambda i, J: dim_of(J | {i}))
