@@ -195,9 +195,6 @@ class ChainMap(_Graded):
                 report.append(f"does not commute with differentials at degree {k}")
         return report
 
-    def is_chain_map(self) -> bool:
-        return not self.validate()
-
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self . other, requiring other.target == self.source."""
         if other.target != self.source:

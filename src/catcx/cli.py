@@ -370,13 +370,7 @@ def run(argv: Optional[List[str]] = None) -> int:
             print(f"error: {io_err}", file=sys.stderr)
             return 2
         return 1
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DimensionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (DocumentError, DimensionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,12 +14,12 @@ factor is dense, else combines rows skipping zeros (the rule is in
 it also writes Kronecker products with identities without forming them,
 and gathers columns by index data, which is how signed partial
 permutations (`Matrix.monomial`) are built and composed with
-(`Matrix.permute`).  Eliminations are fraction-free: `rank` is Bareiss
-with deferred row scaling (a row zero in the pivot column is rescaled
-only when next used, exactly, as every Bareiss entry is a minor), and
-`rref`, `kernel_basis`, `solve` and `invert` share one fraction-free
-Gauss-Jordan on the numerators (every pivot ends equal to the same minor
-D, and the reduced form is the result divided by D).
+(`Matrix.permute`).  There is one elimination, `_eliminate`: Bareiss on
+the numerators with deferred row scaling (a row zero in the pivot column
+is rescaled only when next used, exactly, as every Bareiss entry is a
+minor).  `rank` stops after the forward pass; `rref`, `kernel_basis`,
+`solve` and `invert` also clear above each pivot (every pivot ends equal
+to the same minor D, and the reduced form is the result divided by D).
 `fractions.Fraction` stays at the API boundary: `m[i, j]`, `row` and
 `entries` return Fractions, and the constructor accepts ints, 'p/q'
 strings and Fractions.  It is imported on first use (with `decimal` and
@@ -86,47 +86,64 @@ def _entry_str(x: int, d: int) -> str:
 _QUOTED = {n: f'"{n}"' for n in range(-256, 257)}
 
 
-def _gauss_jordan(a: List[list]) -> Tuple[List[int], int]:
-    """Fraction-free Gauss-Jordan on integer rows, in place.
+def _eliminate(a: List[list], reduce: bool) -> Tuple[List[int], int]:
+    """Fraction-free (Bareiss) elimination on integer rows, in place, with
+    deferred row scaling; returns (pivot columns, last pivot D).
 
-    Each step clears the pivot column in every other row with
-    row_i <- (p * row_i - a_ic * row_r) / prev, where p is the new pivot and
-    prev the one before; the divisions are exact (every entry is a minor
-    of the input).  Returns (pivot columns, D): all pivots end equal to D,
-    rows past the rank end zero, and the reduced row echelon form is a / D.
+    Bareiss takes each row below the pivot row to (p * row - f * pivot_row)
+    / prev, so a row with f = 0 is only scaled by p / prev.  That scaling
+    is deferred: row i is kept current for pivot value at[i], and as every
+    Bareiss entry is a minor (Sylvester's identity), its current value is
+    row * prev / at[i].  So the pivot row is updated that way, and a row
+    with f != 0 to (p * row - f * pivot_row) / at[i]; both are exact.  A
+    step leaves its pivot row as it is, so that row is then current for p.
     The pivot is the first nonzero entry in its column, so results are
     deterministic.
+
+    Without `reduce` only rows below the pivot are eliminated, from the
+    pivot column on (the pivot count is the rank).  With it, rows above are
+    cleared too, whole, and at the end every row is brought current at D:
+    all pivots equal D, rows past the rank are zero, and the reduced row
+    echelon form is a / D.
     """
     nr = len(a)
     nc = len(a[0]) if nr else 0
+    at = [1] * nr
     pivots = []
     prev = 1
     r = 0
     for c in range(nc):
         if r >= nr:
             break
-        piv = None
         for i in range(r, nr):
             if a[i][c]:
-                piv = i
                 break
-        if piv is None:
+        else:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        ar = a[r]
-        p = ar[c]
-        for i in range(nr):
-            if i == r:
-                continue
+        a[r], a[i], at[r], at[i] = a[i], a[r], at[i], at[r]
+        # rows below r are zero before column c, so without `reduce` the pivot
+        # row's tail from c is enough (rows above r are then never read again)
+        row = a[r] if reduce else a[r][c:]
+        if at[r] != prev:
+            row = a[r] = [x * prev // at[r] for x in row]
+        p = at[r] = row[c] if reduce else row[0]
+        for i in range(0 if reduce else r + 1, nr):
             ai = a[i]
             f = ai[c]
-            if f:
-                a[i] = [(p * x - f * y) // prev for x, y in zip(ai, ar)]
-            elif p != prev and any(ai):
-                a[i] = [p * x // prev for x in ai]
+            if f and i != r:
+                s = at[i]
+                if reduce:
+                    a[i] = [(p * x - f * y) // s for x, y in zip(ai, row)]
+                else:
+                    ai[c:] = [(p * x - f * y) // s for x, y in zip(ai[c:], row)]
+                at[i] = p
         pivots.append(c)
         prev = p
         r += 1
+    if reduce:
+        for i in range(r):
+            if at[i] != prev:
+                a[i] = [x * prev // at[i] for x in a[i]]
     return pivots, prev
 
 
@@ -476,52 +493,17 @@ class Matrix:
         return [list(self._e[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def rank(self) -> int:
-        """Bareiss elimination with deferred row scaling.
-
-        Bareiss takes each row below the pivot row to (p * row - f * pivot_row)
-        / prev, so a row with f = 0 is only scaled by p / prev.  That scaling
-        is deferred: row i is kept current for pivot value at[i], and as every
-        Bareiss entry is a minor (Sylvester's identity), its current value is
-        row * prev / at[i].  So the pivot row is updated that way, and a row
-        with f != 0 to (p * row - f * pivot_row) / at[i]; both are exact.
-        """
-        a = self._num_rows()
-        nr = self.rows
-        at = [1] * nr
-        prev = 1
-        r = 0
-        for c in range(self.cols):
-            if r >= nr:
-                break
-            for i in range(r, nr):
-                if a[i][c]:
-                    break
-            else:
-                continue
-            a[r], a[i], at[r], at[i] = a[i], a[r], at[i], at[r]
-            tail = a[r][c:]
-            if at[r] != prev:
-                tail = [x * prev // at[r] for x in tail]
-            p = tail[0]
-            for i in range(r + 1, nr):
-                ai = a[i]
-                f = ai[c]
-                if f:
-                    s = at[i]
-                    ai[c:] = [(p * x - f * y) // s for x, y in zip(ai[c:], tail)]
-                    at[i] = p
-            prev = p
-            r += 1
-        return r
+        """The number of pivots of the forward elimination."""
+        return len(_eliminate(self._num_rows(), False)[0])
 
     def _reduced(self, extra: Optional["Matrix"] = None) -> Tuple[List[list], List[int], int]:
-        """Fraction-free Gauss-Jordan of the numerators, with `extra`'s
+        """Fraction-free reduced form of the numerators, with `extra`'s
         numerators appended as columns: (rows, pivot columns, D > 0)."""
         a = self._num_rows()
         if extra is not None:
             for row, tail in zip(a, extra._num_rows()):
                 row.extend(tail)
-        pivots, D = _gauss_jordan(a)
+        pivots, D = _eliminate(a, True)
         if D < 0:
             a = [[-x for x in row] for row in a]
             D = -D

@@ -326,20 +326,16 @@ class SheafEncoding(Record):
 def encode_sheaf(P: PervDisk, dual: bool = False) -> SheafEncoding:
     """Disk encoding.
 
-    Sheaf side: F_0 = [Psi -g-> Phi] in degrees 1, 0; F_1 = Psi in degree 1;
-    res = (id, 0); T = id - f g on F_1; homotopy h_0 = -f.
+    Sheaf side: the flag encoding of the disk as the flag Phi -f-> Psi,
+    Psi -g-> Phi (n = 1): F_0 = [Psi -g-> Phi] in degrees 1, 0; F_1 = Psi in
+    degree 1; res = (id, 0); T = id - f g on F_1; homotopy h_0 = -f.
     Cosheaf side (dual): F_0 = [Phi -f-> Psi] in degrees 0, -1; F_1 = Psi in
     degree -1; cores: F_1 -> F_0 is the identity in degree -1; h_{-1} = -g.
     """
     f, g = P.f, P.g
-    t = Matrix.identity(P.dim_psi) - f * g
     if not dual:
-        f0 = ChainComplex(0, 1, (P.dim_phi, P.dim_psi), {1: g})
-        f1 = ChainComplex(1, 1, (P.dim_psi,))
-        res = ChainMap(f0, f1, {1: Matrix.identity(P.dim_psi)})
-        mono = ChainMap(f1, f1, {1: t})
-        htp = ChainHomotopy(f0, f1, {0: -f})
-        return SheafEncoding(False, [f0, f1], [res], [mono], [htp])
+        return encode_sheaf_flag(PervFlag((P.dim_phi, P.dim_psi), (f,), (g,)))
+    t = Matrix.identity(P.dim_psi) - f * g
     f0 = ChainComplex(-1, 0, (P.dim_psi, P.dim_phi), {0: f})
     f1 = ChainComplex(-1, -1, (P.dim_psi,))
     cores = ChainMap(f1, f0, {-1: Matrix.identity(P.dim_psi)})
@@ -409,7 +405,7 @@ def verify_encoding(E: SheafEncoding) -> List[str]:
         for msg in t.validate():
             report.append(f"monodromy {i}: {msg}")
         for k in st.degrees():
-            if t.f(k).invert() is None:
+            if not t.f(k).is_invertible():
                 report.append(f"monodromy {i} singular in degree {k}")
     for i, h in enumerate(E.homotopies):
         m = E.maps[i]
