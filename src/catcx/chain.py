@@ -14,6 +14,12 @@ zero by fiat.  Sign conventions used throughout the package, pinned by tests:
 In tensor degrees, the summand A_i (x) B_{n-i} blocks are ordered by
 increasing i, and within a summand basis pairs (p, q) are ordered with p
 outermost (Kronecker order).
+
+Cones are built one way: `sum_cone` builds the cone of A -> T_1 (+) T_2 (+)
+..., and `cone_map` the map of two such cones induced by a map of their
+diagrams.  Every cone-shaped construction in the package (mapping cones,
+homotopy pushouts, cube collapses, the twisted totalization of `simplex`)
+is built from these two.
 """
 
 from __future__ import annotations
@@ -338,6 +344,31 @@ def sum_cone(A: ChainComplex, legs: List[tuple]) -> ChainComplex:
     return ChainComplex(lo, hi, dims, diffs)
 
 
+def _endpoints(f) -> Tuple[ChainComplex, ChainComplex]:
+    """A chain map's source and target; a complex stands for its identity."""
+    return (f, f) if isinstance(f, ChainComplex) else (f.source, f.target)
+
+
+def cone_map(src: ChainComplex, tgt: ChainComplex, parts: tuple) -> ChainMap:
+    """The map of cones src -> tgt induced by a map of their diagrams, with
+    parts (f_0, f_1, ...) on the apex and on each leg of `sum_cone`: degree k
+    is block diagonal, (f_0)_{k-1} (+) (f_1)_k (+) ...  A complex stands for
+    its identity.  Whether the parts commute with the legs is the caller's
+    check."""
+    ends = [_endpoints(f) for f in parts]
+    comps = {}
+    for k in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1):
+        blocks, r, c = [], 0, 0
+        for at, f, (A, B) in zip((k - 1,) + (k,) * (len(parts) - 1), parts, ends):
+            if f is A:
+                blocks.append((r, c, Matrix.identity(A.dim(at))))
+            elif at in f.comps:
+                blocks.append((r, c, f.comps[at]))
+            r, c = r + B.dim(at), c + A.dim(at)
+        comps[k] = Matrix.from_blocks(r, c, blocks)
+    return ChainMap(src, tgt, comps)
+
+
 def is_quasi_iso(f: ChainMap) -> bool:
     """Quasi-isomorphism test: the cone is acyclic."""
     return is_acyclic(cone_complex(f))
@@ -443,11 +474,6 @@ class TensorMemo:
         if hit is None:
             hit = self._tables[As, Bs] = block_table(As, Bs)
         return hit
-
-
-def _endpoints(f) -> Tuple[ChainComplex, ChainComplex]:
-    """A chain map's source and target; a complex stands for its identity."""
-    return (f, f) if isinstance(f, ChainComplex) else (f.source, f.target)
 
 
 def tensor_map_blocks(f, g, memo: TensorMemo) -> Dict[int, Tuple[int, int, list]]:

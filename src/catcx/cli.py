@@ -370,8 +370,8 @@ def run(argv: Optional[List[str]] = None) -> int:
             print(f"error: {io_err}", file=sys.stderr)
             return 2
         return 1
-    except (DocumentError, DimensionError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (DocumentError, DimensionError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

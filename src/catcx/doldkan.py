@@ -158,11 +158,12 @@ def surjections(n: int, k: int) -> List[Tuple[int, ...]]:
 
 def gamma_summands(n: int) -> List[Tuple[int, Tuple[int, ...]]]:
     """(k, surjection) pairs indexing Gamma(C)_n, identity first."""
-    out = []
-    for k in range(n, -1, -1):
-        for eta in surjections(n, k):
-            out.append((k, eta))
-    return out
+    return _summands(n, n)
+
+
+def _summands(n: int, top: int) -> List[Tuple[int, Tuple[int, ...]]]:
+    """The pairs of `gamma_summands(n)` with k <= top."""
+    return [(k, eta) for k in range(min(n, top), -1, -1) for eta in surjections(n, k)]
 
 
 def _epi_mono(vals: Tuple[int, ...], k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -179,7 +180,8 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
         raise DimensionError("gamma needs support in degrees >= 0")
     if N < 0:
         raise DimensionError("truncation level must be nonnegative")
-    summands = {n: gamma_summands(n) for n in range(N + 1)}
+    # a summand over k > C.hi is zero: listing them would cost 2^n at level n
+    summands = {n: _summands(n, C.hi) for n in range(N + 1)}
     offsets = {}
     dims = []
     for n in range(N + 1):

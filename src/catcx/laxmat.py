@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
-from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_complex,
+from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_complex, cone_map,
                     euler_characteristic, inclusion, projection, shift, sum_cone,
                     tensor, tensor_dims, tensor_map, tensor_map_blocks, tensor_map_comps,
                     unit_complex, validate_complex, zero_complex)
@@ -230,13 +230,7 @@ def induced_pushout_map(src: Pushout, tgt: Pushout, on_apex: ChainMap,
         raise DimensionError("span map: left square does not commute")
     if on_right.compose(src.span.right) != tgt.span.right.compose(on_apex):
         raise DimensionError("span map: right square does not commute")
-    comps = {}
-    for k in src.cx.degrees():
-        a, b, c = on_apex.f(k - 1), on_left.f(k), on_right.f(k)
-        comps[k] = Matrix.from_blocks(
-            a.rows + b.rows + c.rows, a.cols + b.cols + c.cols,
-            [(0, 0, a), (a.rows, a.cols, b), (a.rows + b.rows, a.cols + b.cols, c)])
-    return ChainMap(src.cx, tgt.cx, comps)
+    return cone_map(src.cx, tgt.cx, (on_apex, on_left, on_right))
 
 
 # -- associator and tensor/cone interchange -----------------------------------

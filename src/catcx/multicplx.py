@@ -21,7 +21,7 @@ from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
-from .chain import ChainComplex, ChainMap, cone
+from .chain import ChainComplex, ChainMap, cone_complex, cone_map
 from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_int, _as_list,
                         _check_dim, _components_json, _field, _int_keys, _parse_chain_complex,
                         _parse_components, _parse_matrix, _subset_key, _subset_keys,
@@ -242,34 +242,14 @@ def validate_chain_cube(Q: ChainCube) -> List[str]:
 
 def _collapse_first_axis(Q: ChainCube) -> ChainCube:
     """Cone off axis 1; remaining axes are relabelled down by one."""
-    n = Q.n
-    new_vertices: Dict[Subset, ChainComplex] = {}
-    cones = {}
-    for J in cube_subsets(Q.n):
-        if 1 in J:
-            continue
-        c = cone(Q.edge(1, J | {1}))
-        cones[J] = c
-        new_vertices[frozenset(i - 1 for i in J)] = c.complex
-    new_edges: Dict[int, Dict[Subset, ChainMap]] = {i: {} for i in range(1, n)}
-    for J in cube_subsets(Q.n):
-        if 1 in J:
-            continue
-        for i in sorted(J):
-            src = cones[J]
-            tgt = cones[J - {i}]
-            top = Q.edge(i, J | {1})  # shifted-source part of the cone
-            bot = Q.edge(i, J)
-            comps = {}
-            for k in src.complex.degrees():
-                a_blk = top.f(k - 1)
-                b_blk = bot.f(k)
-                comps[k] = Matrix.from_blocks(
-                    a_blk.rows + b_blk.rows, a_blk.cols + b_blk.cols,
-                    [(0, 0, a_blk), (a_blk.rows, a_blk.cols, b_blk)])
-            newJ = frozenset(x - 1 for x in J)
-            new_edges[i - 1][newJ] = ChainMap(src.complex, tgt.complex, comps)
-    return ChainCube(n - 1, new_vertices, new_edges)
+    cones = {J: cone_complex(Q.edge(1, J | {1})) for J in cube_subsets(Q.n) if 1 not in J}
+    new_edges: Dict[int, Dict[Subset, ChainMap]] = {i: {} for i in range(1, Q.n)}
+    for J, src in cones.items():
+        for i in J:
+            new_edges[i - 1][frozenset(x - 1 for x in J)] = cone_map(
+                src, cones[J - {i}], (Q.edge(i, J | {1}), Q.edge(i, J)))
+    return ChainCube(Q.n - 1, {frozenset(i - 1 for i in J): c for J, c in cones.items()},
+                     new_edges)
 
 
 def cube_total_cofiber(Q: ChainCube) -> ChainComplex:
@@ -278,7 +258,7 @@ def cube_total_cofiber(Q: ChainCube) -> ChainComplex:
         raise DimensionError("zero-dimensional cube")
     while Q.n > 1:
         Q = _collapse_first_axis(Q)
-    return cone(Q.edge(1, frozenset({1}))).complex
+    return cone_complex(Q.edge(1, frozenset({1})))
 
 
 def unfold_cube(Q: ChainCube) -> MultiComplex:

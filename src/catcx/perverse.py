@@ -125,15 +125,17 @@ def validate_flag(P: PervFlag) -> List[str]:
 
 def flag_monodromies(P: PervFlag) -> List[Matrix]:
     """T_k = id - d delta - delta d on A_k, absent terms read as zero."""
-    out = []
-    for k in range(P.n + 1):
-        t = Matrix.identity(P.dims[k])
-        if k >= 1:
-            t = t - P.d[k - 1] * P.delta[k - 1]
-        if k < P.n:
-            t = t - P.delta[k] * P.d[k]
-        out.append(t)
-    return out
+    return [_flag_monodromy(P, k) for k in range(P.n + 1)]
+
+
+def _flag_monodromy(P: PervFlag, k: int) -> Matrix:
+    """T_k alone; see `flag_monodromies`."""
+    t = Matrix.identity(P.dims[k])
+    if k >= 1:
+        t = t - P.d[k - 1] * P.delta[k - 1]
+    if k < P.n:
+        t = t - P.delta[k] * P.d[k]
+    return t
 
 
 def flag_factorization_checks(P: PervFlag) -> bool:
@@ -361,7 +363,8 @@ def encode_sheaf_flag(P: PervFlag) -> SheafEncoding:
     """
     n = P.n
     stalks = [_flag_stalk(P, i) for i in range(n + 1)]
-    ts = flag_monodromies(P)
+    # no stalk has A_0 as a monodromy degree, so T_0 is not computed
+    ts = {k: _flag_monodromy(P, k) for k in range(1, n + 1)}
     maps = []
     monos = []
     htps = []

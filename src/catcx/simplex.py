@@ -15,7 +15,9 @@ carries
 
 and D^2 = 0 is exactly (chain map) + (chain map) + (h null-homotopy).
 The homotopy block enters with +h; the other sign choices are forced from
-that normalization.
+that normalization.  So T = cone((p, h): Y01[1] -> cone(q)), and it is
+built that way, with `chain.sum_cone`; p and q are the maps of cones
+`chain.cone_map` induces from (1, v) and (u, 1).
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import List
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
-from .chain import (ChainComplex, ChainHomotopy, ChainMap, check_homotopy, cone,
-                    validate_complex)
+from .chain import (ChainComplex, ChainHomotopy, ChainMap, check_homotopy, cone_complex,
+                    cone_map, shift, sum_cone, validate_complex, zero_map)
 
 
 class TotalizationError(Exception):
@@ -99,37 +101,20 @@ def cc2_d2(u: ChainMap, v: ChainMap) -> CC2Level1:
     if u.validate() or v.validate():
         raise DimensionError("inputs are not chain maps")
     x0, x1, x2 = u.source, u.target, v.target
-    y01 = cone(u).complex
-    y02 = cone(v.compose(u)).complex
-    y12 = cone(v).complex
-    p_comps = {}
-    q_comps = {}
-    h_comps = {}
-    lo = min(y01.lo, y02.lo, y12.lo)
-    hi = max(y01.hi, y02.hi, y12.hi)
-    for k in range(lo, hi + 1):
-        d0, d1, d2 = x0.dim(k - 1), x1.dim(k), x2.dim(k)
-        p_comps[k] = Matrix.block([
-            [Matrix.identity(d0), Matrix.zeros(d0, d1)],
-            [Matrix.zeros(d2, d0), v.f(k)],
-        ])
-        q_comps[k] = Matrix.block([
-            [u.f(k - 1), Matrix.zeros(x1.dim(k - 1), d2)],
-            [Matrix.zeros(d2, d0), Matrix.identity(d2)],
-        ])
-        # h(x0, x1) = (-x1, 0) into (Y12)_{k+1} = X1_k (+) X2_{k+1}
-        h_comps[k] = Matrix.block([
-            [Matrix.zeros(d1, d0), -Matrix.identity(d1)],
-            [Matrix.zeros(x2.dim(k + 1), d0), Matrix.zeros(x2.dim(k + 1), d1)],
-        ])
-    p = ChainMap(y01, y02, p_comps)
-    q = ChainMap(y02, y12, q_comps)
-    h = ChainHomotopy(y01, y12, h_comps)
+    y01, y02, y12 = cone_complex(u), cone_complex(v.compose(u)), cone_complex(v)
+    p = cone_map(y01, y02, (x0, v))
+    q = cone_map(y02, y12, (u, x2))
+    # h(x0, x1) = (-x1, 0) into (Y12)_{k+1} = X1_k (+) X2_{k+1}
+    h = ChainHomotopy(y01, y12, {
+        k: Matrix.monomial(y12.dim(k + 1), [-1] * x0.dim(k - 1) + list(range(x1.dim(k))),
+                           [-1] * y01.dim(k))
+        for k in y01.degrees()})
     return CC2Level1(y01, y02, y12, p, q, h)
 
 
 def cc2_d1(level1: CC2Level1) -> ChainComplex:
-    """Twisted total complex of Y01 -p-> Y02 -q-> Y12 with correction h."""
+    """Twisted total complex of Y01 -p-> Y02 -q-> Y12 with correction h:
+    the cone of (p, h): Y01[1] -> cone(q)."""
     y01, y02, y12 = level1.y01, level1.y02, level1.y12
     p, q, h = level1.p, level1.q, level1.h
     if p.source != y01 or p.target != y02 or q.source != y02 or q.target != y12:
@@ -138,24 +123,12 @@ def cc2_d1(level1: CC2Level1) -> ChainComplex:
         raise DimensionError("homotopy does not match the complexes")
     if p.validate() or q.validate():
         raise DimensionError("comparison maps are not chain maps")
-    lo = min(y01.lo + 2, y02.lo + 1, y12.lo)
-    hi = max(y01.hi + 2, y02.hi + 1, y12.hi)
-    dims = tuple(y01.dim(k - 2) + y02.dim(k - 1) + y12.dim(k)
-                 for k in range(lo, hi + 1))
-    diffs = {}
-    for k in range(lo + 1, hi + 1):
-        a = y01.d(k - 2)
-        b = y02.d(k - 1)
-        c = y12.d(k)
-        pk = p.f(k - 2)
-        qk = q.f(k - 1)
-        hk = h.h(k - 2)
-        diffs[k] = Matrix.block([
-            [a, Matrix.zeros(a.rows, b.cols), Matrix.zeros(a.rows, c.cols)],
-            [pk, -b, Matrix.zeros(pk.rows, c.cols)],
-            [hk, -qk, c],
-        ])
-    T = ChainComplex(lo, hi, dims, diffs)
+    cq = cone_complex(q)
+    # (p, h) stacked: (Y01[1])_{k+1} = (Y01)_k -> cone(q)_{k+1} = (Y02)_k (+) (Y12)_{k+1}
+    ph = {k + 1: Matrix.from_blocks(cq.dim(k + 1), y01.dim(k),
+                                    [(0, 0, p.f(k)), (y02.dim(k), 0, h.h(k))])
+          for k in y01.degrees()}
+    T = sum_cone(shift(y01, 1), [(cq, ph, -1)])
     if validate_complex(T):
         raise TotalizationError(
             "assembled differential does not square to zero; "
@@ -178,7 +151,6 @@ def octahedron_witness(level1: CC2Level1) -> List[str]:
     for msg in level1.q.validate():
         report.append(f"q: {msg}")
     qp = level1.q.compose(level1.p)
-    zero = ChainMap(level1.y01, level1.y12, {})
-    if not check_homotopy(zero, qp, level1.h):
+    if not check_homotopy(zero_map(level1.y01, level1.y12), qp, level1.h):
         report.append("h is not a null-homotopy of q p")
     return report
