@@ -135,32 +135,20 @@ def cmd_totalize(args):
     return 0, totalize(*_valid(args, "multicomplex", "file"))
 
 
-def _koszul_input(args):
-    # only the algebra is checked here: a differential that fails d.d = 0
-    # surfaces from the construction itself
-    spec = _load(args.file, args.strict, "koszul_complex")
-    _require_valid(spec, spec.algebra.validate())
-    return spec
-
-
 def cmd_koszul(args):
-    from .koszul import AlgebraError, koszul, realize
-    spec = _koszul_input(args)
-    try:
-        return 0, realize(koszul(spec.algebra, spec.lambdas))
-    except AlgebraError as e:
-        raise _failed(e)
+    from .koszul import koszul, realize
+    spec, = _valid(args, "koszul_complex", "file")
+    return 0, realize(koszul(spec.algebra, spec.lambdas))
 
 
 def cmd_koszul_dual(args):
-    from .koszul import AlgebraError, KoszulDualityError, duality_iso, koszul
-    spec = _koszul_input(args)
+    from .koszul import KoszulDualityError, duality_iso, koszul
+    spec, = _valid(args, "koszul_complex", "file")
     try:
-        K = koszul(spec.algebra, spec.lambdas)
-        dual = duality_iso(K)
-    except (AlgebraError, KoszulDualityError) as e:
+        dual = duality_iso(koszul(spec.algebra, spec.lambdas))
+    except KoszulDualityError as e:
         raise _failed(e)
-    return 0, {"type": "koszul_duality", "n": K.n,
+    return 0, {"type": "koszul_duality", "n": dual.source.n,
                "target_lambdas": [[rat_str(x) for x in lam]
                                   for lam in dual.target.lambdas],
                "maps": {str(i): m.realize() for i, m in dual.maps.items()}}

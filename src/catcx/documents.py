@@ -12,10 +12,10 @@ Degree keys in JSON objects are strings ("2", "-1"); multidegrees and
 subsets are comma-joined ("1,0", "1,3", "" for the empty set).
 
 The environment variable CATCX_MAX_DIM (default 512) caps every declared
-dimension and matrix side at parse time, and the largest degree a Koszul
-input implies, so a malicious or runaway input fails fast instead of
-allocating.  The tensor and hom-complex commands apply it to each degree
-of their result too, before building it.
+dimension and matrix side at parse time, and the largest degree of a
+Koszul input and its basis subsets, so a malicious or runaway input fails
+fast instead of allocating.  The tensor and hom-complex commands apply it
+to each degree of their result too, before building it.
 
 Each document type is one row of the table `_TYPES`: (tag, module, class,
 parse, to_json, check), where check lists the invariants `catcx validate`
@@ -390,9 +390,10 @@ _TYPES = (
      "validate_chain_cube"),
     ("fd_algebra", "koszul", "FDAlgebra", "_parse_fd_algebra", "_fd_algebra_json",
      lambda A: A.validate()),
-    ("koszul_complex", "koszul", "KoszulSpec", "_parse_koszul", "_koszul_json", "validate_spec"),
+    ("koszul_complex", "koszul", "KoszulSpec", "_parse_koszul", "_koszul_json",
+     lambda K: K.algebra.validate()),
     ("koszul_complex", "koszul", "FreeKoszulComplex", "_parse_koszul", "_koszul_json",
-     "validate_spec"),
+     lambda K: K.algebra.validate()),
     ("perv_disk", "perverse", "PervDisk", "_parse_perv_disk", "_perv_disk_json", "validate_disk"),
     ("perv_flag", "perverse", "PervFlag", "_parse_perv_flag", "_perv_flag_json", "validate_flag"),
     ("perv_cube", "perverse", "PervCube", "_parse_perv_cube", "_perv_cube_json", "validate_cube"),

@@ -16,13 +16,16 @@ as the left-associated iterated tensor of the two-term complexes
 ord(n-1, k).  With that order, realizing K and realizing the iterated
 tensor give literally equal matrices.
 
-Matrices over R (RMatrix) are sparse: a dict from (row, col) to each
-nonzero entry.  The column of e_S in a differential has only |S| nonzeros
-and a duality map one per row and column, so products (the d.d = 0 and
-commutation checks), transposes and comparisons cost work in the number
-of nonzeros, not in the square of the rank.  realize() flattens
-everything to Q by replacing each entry l with the multiplication-by-l
-matrix, placing only the nonzero blocks.
+d.d = 0 is checked in closed form: d_{k-1} d_k is +-(l_b l_a - l_a l_b) at
+(S - {a, b}, S) and zero elsewhere, so it vanishes exactly when the lambdas
+commute pairwise, fails first at degree 2 if at all, and never fails over
+an algebra that passes FDAlgebra.validate.  Matrices over R (RMatrix) are
+sparse: a dict from (row, col) to each nonzero entry.  The column of e_S
+in a differential has only |S| nonzeros and a duality map one per row and
+column, so products (the duality's commutation check), transposes and
+comparisons cost work in the number of nonzeros, not in the square of the
+rank.  realize() flattens everything to Q by replacing each entry l with
+the multiplication-by-l matrix, placing only the nonzero blocks.
 
 Self-duality: the R-linear dual of K, reindexed by n - degree, is
 isomorphic over R to K(l_n, ..., l_1) via e_S-dual -> sgn(S) e_{P(S)}
@@ -37,6 +40,7 @@ mean a sign error in one of the two conventions.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 from operator import add
 from typing import Dict, List, Sequence, Tuple, Union
@@ -262,11 +266,13 @@ class FreeKoszulComplex(Record):
 
 
 def koszul(algebra: FDAlgebra, lambdas: Sequence[Sequence]) -> FreeKoszulComplex:
-    """Build K(l_1..l_n) and verify d.d = 0 over R exactly."""
+    """Build K(l_1..l_n); d.d = 0 over R is checked as pairwise commutators."""
     ls = tuple(algebra.element(l) for l in lambdas)
     n = len(ls)
     if n == 0:
         raise DimensionError("need at least one lambda")
+    if any(algebra.mult(a, b) != algebra.mult(b, a) for a, b in combinations(ls, 2)):
+        raise AlgebraError("Koszul differential does not square to zero at degree 2")
     # (l_i, -l_i), or None where l_i = 0 and contributes no entries
     signed = [(l, tuple(-x for x in l)) if any(l) else None for l in ls]
     basis = tuple(tuple(subset_order(n, k)) for k in range(n + 1))
@@ -280,9 +286,6 @@ def koszul(algebra: FDAlgebra, lambdas: Sequence[Sequence]) -> FreeKoszulComplex
                 if signed[i - 1] is not None:
                     nz[row_of[S[:pos] + S[pos + 1:]], col] = signed[i - 1][pos % 2]
         sym_d[k] = RMatrix._of(algebra, len(basis[k - 1]), len(basis[k]), nz)
-    for k in range(2, n + 1):
-        if not (sym_d[k - 1] * sym_d[k]).is_zero():
-            raise AlgebraError(f"Koszul differential does not square to zero at degree {k}")
     return FreeKoszulComplex(algebra, ls, basis, sym_d)
 
 
@@ -323,7 +326,7 @@ def _is_unit_monomial(phi: RMatrix) -> bool:
     n = len(phi._nz)
     if not (n == phi.rows == phi.cols == len({i for i, _ in phi._nz})
             == len({j for _, j in phi._nz})):
-        return False
+        return phi.algebra.dim == 0  # over the zero algebra, phi realizes to 0 x 0
     mult_matrix = phi.algebra.mult_matrix
     return all(mult_matrix(v).is_invertible() for v in set(phi._nz.values()))
 
@@ -424,30 +427,30 @@ def _parse_fd_algebra(d, ctx: _Ctx, path: str) -> FDAlgebra:
     return FDAlgebra(m, tuple(structure), unit)
 
 
+def _check_koszul_size(n: int, dim: int, cap: int, path: str) -> None:
+    """Exit-2 error at path unless 1 <= n and K(l_1..l_n) has at most cap
+    basis subsets, C(n, n // 2), and dimension C(n, n // 2) * dim in its
+    largest degree.  C(n, n // 2) >= 2^n / (n + 1), so a long list is
+    rejected on n alone, before comb works out thousands of digits."""
+    if not n:
+        raise DocumentError("need at least one lambda", path)
+    huge = max(cap, 10 ** 100)
+    over = n >= huge.bit_length() + (n + 1).bit_length()  # 2^n / (n + 1) > huge
+    largest = (huge + 1 if over else comb(n, n // 2)) * (dim or 1)
+    if largest > cap:
+        shown = largest if largest < 10 ** 100 else "over 10^100"
+        what = (f"over a {dim}-dimensional algebra imply a degree of dimension {shown}" if dim
+                else f"imply {shown} basis subsets in degree {n // 2}")
+        raise DocumentError(f"{n} lambdas {what}, which exceeds {MAX_DIM_ENV}={cap}", path)
+
+
 def _parse_koszul(d: dict, ctx: _Ctx, path: str) -> KoszulSpec:
     alg = _parse_fd_algebra(_field(d, "algebra", path), ctx, f"{path}.algebra")
     lams_raw = _field(d, "lambdas", path, _as_list)
-    # K has C(n, k) * dim basis vectors in degree k, most at k = n // 2
-    n = len(lams_raw)
-    largest = comb(n, n // 2) * alg.dim
-    if largest > ctx.cap:
-        raise DocumentError(f"{n} lambdas over a {alg.dim}-dimensional algebra imply a "
-                            f"degree of dimension {largest}, which exceeds "
-                            f"{MAX_DIM_ENV}={ctx.cap}", f"{path}.lambdas")
+    _check_koszul_size(len(lams_raw), alg.dim, ctx.cap, f"{path}.lambdas")
     return KoszulSpec(alg, tuple(_rationals(lam, alg.dim, ctx, f"{path}.lambdas[{i}]",
                                             "lambda vector has wrong length")
                                  for i, lam in enumerate(lams_raw)))
-
-
-def validate_spec(spec) -> List[str]:
-    """The problems of a Koszul input: its algebra's, or else the construction's."""
-    problems = spec.algebra.validate()
-    if not problems:
-        try:
-            koszul(spec.algebra, spec.lambdas)
-        except AlgebraError as e:
-            problems = [str(e)]
-    return problems
 
 
 def _fd_algebra_json(A) -> dict:

@@ -123,6 +123,12 @@ def cc2_d1(level1: CC2Level1) -> ChainComplex:
         raise DimensionError("homotopy does not match the complexes")
     if p.validate() or q.validate():
         raise DimensionError("comparison maps are not chain maps")
+    return _total(level1)
+
+
+def _total(level1: CC2Level1) -> ChainComplex:
+    """cc2_d1 without its checks of level1, which cc2_d2's cone maps pass."""
+    y01, y02, p, q, h = level1.y01, level1.y02, level1.p, level1.q, level1.h
     cq = cone_complex(q)
     # (p, h) stacked: (Y01[1])_{k+1} = (Y01)_k -> cone(q)_{k+1} = (Y02)_k (+) (Y12)_{k+1}
     ph = {k + 1: Matrix.from_blocks(cq.dim(k + 1), y01.dim(k),
@@ -139,7 +145,7 @@ def cc2_d1(level1: CC2Level1) -> ChainComplex:
 def cc2(u: ChainMap, v: ChainMap) -> CatCochain2Level:
     """Full three-level record over a composable pair."""
     level1 = cc2_d2(u, v)
-    total = cc2_d1(level1)
+    total = _total(level1)
     return CatCochain2Level(u.source, u.target, v.target, u, v, level1, total)
 
 
