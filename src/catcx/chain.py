@@ -15,6 +15,11 @@ In tensor degrees, the summand A_i (x) B_{n-i} blocks are ordered by
 increasing i, and within a summand basis pairs (p, q) are ordered with p
 outermost (Kronecker order).
 
+A complex stores only the differentials given inside its window, by
+ascending degree, and an absent one is zero; `d(k)` makes the zero matrix
+for callers that need one.  Chain maps and homotopies store every non-empty
+component, zero ones included, since their documents write exactly those.
+
 Cones are built one way: `sum_cone` builds the cone of A -> T_1 (+) T_2 (+)
 ..., and `cone_map` the map of two such cones induced by a map of their
 diagrams.  Every cone-shaped construction in the package (mapping cones,
@@ -48,20 +53,15 @@ class ChainComplex:
         self.hi = hi
         self.dims = dims
         self.support = tuple((k, n) for k, n in zip(range(lo, hi + 1), dims) if n)
-        full: Dict[int, Matrix] = {}
-        diffs = diffs or {}
-        for k in range(lo + 1, hi + 1):
+        given = diffs or {}
+        self.diffs = {k: given[k] for k in sorted(given) if lo < k <= hi and given[k] is not None}
+        for k, m in self.diffs.items():
             rows, cols = dims[k - 1 - lo], dims[k - lo]
-            m = diffs.get(k)
-            if m is None:
-                m = Matrix.zeros(rows, cols)
-            elif (m.rows, m.cols) != (rows, cols):
+            if (m.rows, m.cols) != (rows, cols):
                 raise DimensionError(
                     f"differential at degree {k} has shape {m.rows}x{m.cols}, "
                     f"expected {rows}x{cols}"
                 )
-            full[k] = m
-        self.diffs = full
 
     def dim(self, k: int) -> int:
         if self.lo <= k <= self.hi:
@@ -90,7 +90,7 @@ class ChainComplex:
             self.lo == other.lo
             and self.hi == other.hi
             and self.dims == other.dims
-            and all(self.d(k) == other.d(k) for k in range(self.lo + 1, self.hi + 1))
+            and all(self.d(k) == other.d(k) for k in self.diffs.keys() | other.diffs)
         )
 
     def __hash__(self):
@@ -119,16 +119,9 @@ def two_term(hi_deg: int, m: Matrix) -> ChainComplex:
 
 
 def validate_complex(C: ChainComplex) -> List[str]:
-    """Report of violations; empty means valid.  Checks shapes and d.d = 0."""
-    report = []
-    for k in range(C.lo + 1, C.hi + 1):
-        m = C.d(k)
-        if (m.rows, m.cols) != (C.dim(k - 1), C.dim(k)):
-            report.append(f"differential shape mismatch at degree {k}")
-    for k in range(C.lo + 2, C.hi + 1):
-        if not (C.d(k - 1) * C.d(k)).is_zero():
-            report.append(f"d.d != 0 at degree {k}")
-    return report
+    """Report of violations of d.d = 0; empty means valid (shapes are checked on construction)."""
+    return [f"d.d != 0 at degree {k}" for k, m in C.diffs.items()
+            if k - 1 in C.diffs and not (C.diffs[k - 1] * m).is_zero()]
 
 
 class _Graded:
@@ -272,7 +265,7 @@ def check_homotopy(f: ChainMap, g: ChainMap, h: ChainHomotopy) -> bool:
 
 def homology_dims(C: ChainComplex) -> Dict[int, int]:
     """dim H_k = dim C_k - rank d_k - rank d_{k+1}."""
-    ranks = {k: C.d(k).rank() for k in range(C.lo, C.hi + 2)}
+    ranks = {k: m.rank() for k, m in C.diffs.items()}
     return {k: C.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in C.degrees()}
 
 
@@ -287,7 +280,7 @@ def euler_characteristic(C: ChainComplex) -> int:
 def shift(C: ChainComplex, m: int) -> ChainComplex:
     """C[m]_k = C_{k-m}; differential scaled by (-1)^m."""
     sign = -1 if m % 2 else 1
-    diffs = {k + m: C.d(k).scale(sign) for k in range(C.lo + 1, C.hi + 1)}
+    diffs = {k + m: d.scale(sign) for k, d in C.diffs.items()}
     return ChainComplex(C.lo + m, C.hi + m, C.dims, diffs)
 
 
@@ -334,11 +327,13 @@ def sum_cone(A: ChainComplex, legs: List[tuple]) -> ChainComplex:
     dims = tuple(A.dim(k - 1) + sum(T.dim(k) for T, _, _ in legs) for k in range(lo, hi + 1))
     diffs = {}
     for k in range(lo + 1, hi + 1):
-        blocks, r, c = [(0, 0, A.d(k - 1), -1, 1, 1)], A.dim(k - 2), A.dim(k - 1)
+        blocks = [(0, 0, A.diffs[k - 1], -1, 1, 1)] if k - 1 in A.diffs else []
+        r, c = A.dim(k - 2), A.dim(k - 1)
         for T, comps, sign in legs:
             if k - 1 in comps:
                 blocks.append((r, 0, comps[k - 1], -sign, 1, 1))
-            blocks.append((r, c, T.d(k)))
+            if k in T.diffs:
+                blocks.append((r, c, T.diffs[k]))
             r, c = r + T.dim(k - 1), c + T.dim(k)
         diffs[k] = Matrix.from_blocks(dims[k - 1 - lo], dims[k - lo], blocks)
     return ChainComplex(lo, hi, dims, diffs)
@@ -379,10 +374,11 @@ def direct_sum(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     hi = max(A.hi, B.hi)
     dims = tuple(A.dim(k) + B.dim(k) for k in range(lo, hi + 1))
     diffs = {}
-    for k in range(lo + 1, hi + 1):
-        diffs[k] = Matrix.from_blocks(
-            A.dim(k - 1) + B.dim(k - 1), A.dim(k) + B.dim(k),
-            [(0, 0, A.d(k)), (A.dim(k - 1), A.dim(k), B.d(k))])
+    for k in A.diffs.keys() | B.diffs:
+        blocks = [(0, 0, A.diffs[k])] if k in A.diffs else []
+        if k in B.diffs:
+            blocks.append((A.dim(k - 1), A.dim(k), B.diffs[k]))
+        diffs[k] = Matrix.from_blocks(A.dim(k - 1) + B.dim(k - 1), A.dim(k) + B.dim(k), blocks)
     return ChainComplex(lo, hi, dims, diffs)
 
 
@@ -435,10 +431,10 @@ def tensor(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     # d(a (x) b) = da (x) b + (-1)^i a (x) db, blockwise da (x) 1 and +-1 (x) db
     blocks = {}
     for (i, j), c0 in off.items():
-        if (i - 1, j) in off:
+        if (i - 1, j) in off and i in A.diffs:
             blocks.setdefault(i + j, []).append(
                 (off[i - 1, j], c0, A.diffs[i], 1, 1, B.dims[j - B.lo]))
-        if (i, j - 1) in off:
+        if (i, j - 1) in off and j in B.diffs:
             blocks.setdefault(i + j, []).append(
                 (off[i, j - 1], c0, B.diffs[j], -1 if i % 2 else 1, A.dims[i - A.lo], 1))
     diffs = {n: Matrix.from_blocks(dim[n - 1], dim[n], bl) for n, bl in blocks.items()}
@@ -553,12 +549,14 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
         blocks = []
         for i, c0 in hom_offsets(A, B, n).items():
             # d_B . f_i : block from summand i to summand i of degree n-1
-            if i in tgt_off:
-                blocks.append((tgt_off[i], c0, B.d(n + i), 1, 1, A.dim(i)))
+            if i in tgt_off and n + i in B.diffs:
+                blocks.append((tgt_off[i], c0, B.diffs[n + i], 1, 1, A.dim(i)))
             # f_i . d_A : Hom(A_i, B_{n+i}) -> Hom(A_{i+1}, B_{n+i})
-            if i + 1 in tgt_off:
-                blocks.append((tgt_off[i + 1], c0, A.d(i + 1).transpose(), sign, B.dim(n + i), 1))
-        diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
+            if i + 1 in tgt_off and i + 1 in A.diffs:
+                blocks.append((tgt_off[i + 1], c0, A.diffs[i + 1].transpose(), sign,
+                               B.dim(n + i), 1))
+        if blocks:
+            diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
     return ChainComplex(lo, hi, dims, diffs)
 
 

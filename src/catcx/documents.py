@@ -314,10 +314,9 @@ def _parse_chain_complex(d, ctx: _Ctx, path: str) -> ChainComplex:
         raise DocumentError("hi < lo", path)
     dims = _dims(d, path, ctx.cap, lambda n: n == hi - lo + 1,
                  "dims length does not match lo..hi")
-    probe = ChainComplex(lo, hi, dims)
     table = _field(d, "differentials", path, default={})
     diffs = {k: _parse_matrix(mat, ctx, f"{path}.differentials.{key}",
-                              rows=probe.dim(k - 1), cols=probe.dim(k))
+                              rows=dims[k - 1 - lo], cols=dims[k - lo])
              for k, key, mat in _int_keys(table, f"{path}.differentials", "degree",
                                           range(lo + 1, hi + 1), "degree {} outside lo+1..hi")}
     return ChainComplex(lo, hi, dims, diffs)

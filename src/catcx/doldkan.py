@@ -134,10 +134,9 @@ def normalize(X: SimplicialVS) -> ChainComplex:
     dims = tuple(pres[n][0].rows for n in range(X.n_max + 1))
     diffs = {}
     for n in range(1, X.n_max + 1):
-        total = Matrix.zeros(X.dims[n - 1], X.dims[n])
-        for i in range(n + 1):
-            m = X.face(n, i)
-            total = total + (-m if i % 2 else m)
+        total = X.face(n, 0)
+        for i in range(1, n + 1):
+            total = total - X.face(n, i) if i % 2 else total + X.face(n, i)
         diffs[n] = pres[n - 1][0] * total * pres[n][1]
     return ChainComplex(0, X.n_max, dims, diffs)
 
@@ -147,12 +146,12 @@ def surjections(n: int, k: int) -> List[Tuple[int, ...]]:
     if k > n or k < 0:
         return []
     out = []
-    for jumps in itertools.combinations(range(1, n + 1), k):
+    # an earlier jump makes a larger tuple, so the jump sets go in reverse lex order
+    for jumps in reversed(list(itertools.combinations(range(1, n + 1), k))):
         vals = [0]
         for t in range(1, n + 1):
             vals.append(vals[-1] + (1 if t in jumps else 0))
         out.append(tuple(vals))
-    out.sort()
     return out
 
 
@@ -206,10 +205,10 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
             if kk == k:
                 blk = Matrix.identity(C.dim(k))
             elif kk == k - 1 and image == tuple(range(1, k + 1)):
-                blk = C.d(k)
+                blk = C.diffs.get(k)
             else:
                 continue
-            if blk.rows == 0:
+            if blk is None or blk.rows == 0:
                 continue
             blocks.append((offsets[m][surj], offsets[n][eta], blk))
         return Matrix.from_blocks(dims[m], dims[n], blocks)

@@ -243,14 +243,11 @@ class RMatrix:
 
 
 def subset_order(n: int, k: int) -> List[Tuple[int, ...]]:
-    """Size-k subsets of {1..n} in iterated-tensor order."""
-    if k < 0 or k > n:
+    """Size-k subsets of {1..n} in iterated-tensor order: those holding n
+    come first, and each part is in this order again."""
+    if k < 0:
         return []
-    if n == 0:
-        return [()]
-    out = [s + (n,) for s in subset_order(n - 1, k - 1)]
-    out.extend(subset_order(n - 1, k))
-    return out
+    return [c[::-1] for c in combinations(range(n, 0, -1), k)]
 
 
 class FreeKoszulComplex(Record):

@@ -9,6 +9,10 @@ Koszul signs appear only at totalization,
 which is what makes the total differential square to zero; axis order for
 the signs is the stored axis order.  Axes are numbered 1..n.
 
+As in a chain complex, only the given differentials inside the box are
+stored, lex ordered per axis, and an absent one is zero; `d(j, a)` makes
+the zero matrix for callers that need one.
+
 ChainCube is the separate carrier for a {0,1}^n cube whose vertices are
 chain complexes and whose edges (along axis i, from epsilon_i = 1 to 0)
 are chain maps with strictly commuting faces.  Its total cofiber is the
@@ -50,24 +54,18 @@ class MultiComplex:
         for a in self.dims:
             if not self._in_box(a):
                 raise DimensionError(f"multidegree {a} outside the support box")
-        full: Dict[int, Dict[MultiDeg, Matrix]] = {j: {} for j in range(1, n + 1)}
-        diffs = diffs or {}
+        self.diffs: Dict[int, Dict[MultiDeg, Matrix]] = {}
         for j in range(1, n + 1):
-            given = diffs.get(j, {})
-            for a in self.multidegrees():
-                if a[j - 1] == self.lo[j - 1]:
-                    continue
+            given = (diffs or {}).get(j, {})
+            self.diffs[j] = {a: given[a] for a in sorted(given) if given[a] is not None
+                             and self._in_box(a) and a[j - 1] > self.lo[j - 1]}
+            for a, m in self.diffs[j].items():
                 b = self._step(a, j)
-                m = given.get(a)
-                if m is None:
-                    m = Matrix.zeros(self.dim(b), self.dim(a))
                 if (m.rows, m.cols) != (self.dim(b), self.dim(a)):
                     raise DimensionError(
                         f"d_{j} at {a} has shape {m.rows}x{m.cols}, "
                         f"expected {self.dim(b)}x{self.dim(a)}"
                     )
-                full[j][a] = m
-        self.diffs = full
 
     def _in_box(self, a: MultiDeg) -> bool:
         return len(a) == self.n and all(
@@ -93,51 +91,42 @@ class MultiComplex:
         return m
 
 
+def _stored(M: MultiComplex, j: int, i: int, a: MultiDeg) -> bool:
+    """Whether both blocks of the route d_j d_i out of a are stored."""
+    return a in M.diffs[i] and M._step(a, i) in M.diffs[j]
+
+
 def validate_multicomplex(M: MultiComplex) -> List[str]:
+    """Report of violations; a route through an absent block is zero."""
     report = []
     for a in M.multidegrees():
         for j in range(1, M.n + 1):
-            if a[j - 1] - 2 >= M.lo[j - 1]:
-                b = M._step(a, j)
-                if not (M.d(j, b) * M.d(j, a)).is_zero():
-                    report.append(f"d_{j} d_{j} != 0 at {a}")
+            aj = M._step(a, j)
+            if _stored(M, j, j, a) and not (M.d(j, aj) * M.d(j, a)).is_zero():
+                report.append(f"d_{j} d_{j} != 0 at {a}")
             for i in range(1, j):
-                if a[i - 1] - 1 >= M.lo[i - 1] and a[j - 1] - 1 >= M.lo[j - 1]:
-                    ai = M._step(a, i)
-                    aj = M._step(a, j)
-                    if M.d(j, ai) * M.d(i, a) != M.d(i, aj) * M.d(j, a):
-                        report.append(f"d_{i} and d_{j} do not commute at {a}")
+                if ((_stored(M, j, i, a) or _stored(M, i, j, a))
+                        and M.d(j, M._step(a, i)) * M.d(i, a) != M.d(i, aj) * M.d(j, a)):
+                    report.append(f"d_{i} and d_{j} do not commute at {a}")
     return report
 
 
-def totalization_offsets(M: MultiComplex, n: int) -> Dict[MultiDeg, int]:
-    """Summands of tot_n are multidegrees with sum n, in ascending lex order."""
-    off = {}
-    pos = 0
-    for a in sorted(a for a in M.multidegrees() if sum(a) == n):
-        off[a] = pos
-        pos += M.dim(a)
-    return off
-
-
 def totalize(M: MultiComplex) -> ChainComplex:
-    lo = sum(M.lo)
-    hi = sum(M.hi)
-    dims = []
-    for n in range(lo, hi + 1):
-        dims.append(sum(M.dim(a) for a in M.multidegrees() if sum(a) == n))
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        tgt_off = totalization_offsets(M, n - 1)
-        blocks = []
-        for a, c0 in totalization_offsets(M, n).items():
-            for j in range(1, M.n + 1):
-                if a[j - 1] - 1 < M.lo[j - 1]:
-                    continue
-                blk = M.d(j, a)
-                blocks.append((tgt_off[M._step(a, j)], c0,
-                               -blk if sum(a[: j - 1]) % 2 else blk))
-        diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
+    """Summands of tot_n are the multidegrees with sum n, in ascending lex
+    order; d_j out of a carries the sign (-1)^(a_1 + ... + a_{j-1})."""
+    lo, hi = sum(M.lo), sum(M.hi)
+    dims = [0] * (hi - lo + 1)
+    off: Dict[MultiDeg, int] = {}
+    for a in M.multidegrees():  # lex order
+        t = sum(a) - lo
+        off[a], dims[t] = dims[t], dims[t] + M.dim(a)
+    blocks: Dict[int, list] = {}
+    for j, table in M.diffs.items():
+        for a, m in table.items():
+            blocks.setdefault(sum(a), []).append(
+                (off[M._step(a, j)], off[a], m, -1 if sum(a[: j - 1]) % 2 else 1, 1, 1))
+    diffs = {n: Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], bl)
+             for n, bl in blocks.items()}
     return ChainComplex(lo, hi, tuple(dims), diffs)
 
 
@@ -177,10 +166,7 @@ def complex_to_cube(C: ChainComplex) -> MultiComplex:
         i = sum(a)
         is_initial = all(a[k] == 1 for k in range(i))
         dims[a] = C.dim(i) if is_initial else 0
-    diffs: Dict[int, Dict[MultiDeg, Matrix]] = {j: {} for j in range(1, n + 1)}
-    for i in range(1, n + 1):
-        a = tuple(1 if k < i else 0 for k in range(n))
-        diffs[i][a] = C.d(i)
+    diffs = {i: {tuple(1 if k < i else 0 for k in range(n)): m} for i, m in C.diffs.items()}
     return MultiComplex(n, (0,) * n, (1,) * n, dims, diffs)
 
 
@@ -274,19 +260,16 @@ def unfold_cube(Q: ChainCube) -> MultiComplex:
     lo = (0,) * n + (klo,)
     hi = (1,) * n + (khi,)
     dims = {}
-    for J, V in Q.vertices.items():
-        bits = tuple(1 if i + 1 in J else 0 for i in range(n))
-        for k in range(klo, khi + 1):
-            dims[bits + (k,)] = V.dim(k)
     diffs: Dict[int, Dict[MultiDeg, Matrix]] = {j: {} for j in range(1, n + 2)}
     for J, V in Q.vertices.items():
         bits = tuple(1 if i + 1 in J else 0 for i in range(n))
         for k in range(klo, khi + 1):
-            a = bits + (k,)
-            if k > klo:
-                diffs[n + 1][a] = V.d(k)
-            for i in sorted(J):
-                diffs[i][a] = Q.edge(i, J).f(k)
+            dims[bits + (k,)] = V.dim(k)
+        for k, m in V.diffs.items():
+            diffs[n + 1][bits + (k,)] = m
+        for i in J:
+            for k, m in Q.edge(i, J).comps.items():
+                diffs[i][bits + (k,)] = m
     return MultiComplex(n + 1, lo, hi, dims, diffs)
 
 
@@ -333,7 +316,7 @@ def _parse_multicomplex(d: dict, ctx: _Ctx, path: str) -> MultiComplex:
     hi = [_as_int(x, f"{at}.hi") for x in _field(sup, "hi", at, _as_list)]
     if len(lo) != n or len(hi) != n:
         raise DocumentError("support bounds must have one entry per axis", at)
-    # every multidegree of the box gets a matrix per axis: cap the count first
+    # validate and totalize walk every multidegree of the box: cap the count first
     volume = 1
     for l, h in zip(lo, hi):
         volume *= max(h - l + 1, 0)
@@ -384,10 +367,8 @@ def _parse_chain_cube(d: dict, ctx: _Ctx, path: str) -> ChainCube:
 def _multicomplex_json(M) -> dict:
     diffs = {}
     for j in range(1, M.n + 1):
-        table = {}
-        for a, m in M.diffs.get(j, {}).items():
-            if m.rows and m.cols:
-                table[_deg_key(a)] = m
+        table = {_deg_key(a): M.d(j, a) for a in M.multidegrees()
+                 if a[j - 1] > M.lo[j - 1] and M.dim(a) and M.dim(M._step(a, j))}
         if table:
             diffs[str(j)] = table
     return {"n": M.n, "support": {"lo": list(M.lo), "hi": list(M.hi)},

@@ -144,8 +144,8 @@ def flag_factorization_checks(P: PervFlag) -> bool:
     ts = flag_monodromies(P)
     for k in range(P.n + 1):
         ident = Matrix.identity(P.dims[k])
-        a = ident - (P.d[k - 1] * P.delta[k - 1] if k >= 1 else Matrix.zeros(P.dims[k], P.dims[k]))
-        b = ident - (P.delta[k] * P.d[k] if k < P.n else Matrix.zeros(P.dims[k], P.dims[k]))
+        a = ident - P.d[k - 1] * P.delta[k - 1] if k >= 1 else ident
+        b = ident - P.delta[k] * P.d[k] if k < P.n else ident
         if ts[k] != a * b or ts[k] != b * a:
             return False
     return True
