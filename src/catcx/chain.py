@@ -15,10 +15,10 @@ In tensor degrees, the summand A_i (x) B_{n-i} blocks are ordered by
 increasing i, and within a summand basis pairs (p, q) are ordered with p
 outermost (Kronecker order).
 
-A complex stores only the differentials given inside its window, by
-ascending degree, and an absent one is zero; `d(k)` makes the zero matrix
-for callers that need one.  Chain maps and homotopies store every non-empty
-component, zero ones included, since their documents write exactly those.
+Every graded object stores only the blocks it is given: a complex its
+differentials inside its window, a chain map or homotopy its components of
+non-empty shape, each by ascending degree.  An absent block is zero, and
+`d(k)`, `f(k)` and `h(k)` make the zero matrix for callers that need one.
 
 Cones are built one way: `sum_cone` builds the cone of A -> T_1 (+) T_2 (+)
 ..., and `cone_map` the map of two such cones induced by a map of their
@@ -127,8 +127,8 @@ def validate_complex(C: ChainComplex) -> List[str]:
 class _Graded:
     """Degreewise matrices comps[k]: A_k -> B_{k + deg} between two complexes.
 
-    The shared body of ChainMap (deg 0) and ChainHomotopy (deg +1).  Every
-    component of a non-empty shape is stored, zero ones included.
+    The shared body of ChainMap (deg 0) and ChainHomotopy (deg +1).  Only
+    the given components of a non-empty shape are stored.
     """
 
     __slots__ = ("source", "target", "comps")
@@ -140,26 +140,22 @@ class _Graded:
         self.source = source
         self.target = target
         deg = self._deg
-        full: Dict[int, Matrix] = {}
-        comps = comps or {}
-        s_lo, s_hi, s_dims = source.lo, source.hi, source.dims
-        t_lo, t_hi, t_dims = target.lo - deg, target.hi - deg, target.dims
-        for k in range(min(s_lo, t_lo), max(s_hi, t_hi) + 1):
-            rows = t_dims[k - t_lo] if t_lo <= k <= t_hi else 0
-            cols = s_dims[k - s_lo] if s_lo <= k <= s_hi else 0
-            m = comps.get(k)
-            if m is None:
-                m = Matrix.zeros(rows, cols) if rows and cols else None
-            elif (m.rows, m.cols) != (rows, cols):
+        lo, hi = min(source.lo, target.lo - deg), max(source.hi, target.hi - deg)
+        self.comps = {}
+        for k, m in sorted((comps or {}).items()):
+            if m is None or not lo <= k <= hi:
+                continue
+            rows, cols = target.dim(k + deg), source.dim(k)
+            if (m.rows, m.cols) != (rows, cols):
                 raise DimensionError(
                     f"{self._what} at degree {k} has shape {m.rows}x{m.cols}, "
                     f"expected {rows}x{cols}"
                 )
             if rows and cols:
-                full[k] = m
-        self.comps = full
+                self.comps[k] = m
 
     def _comp(self, k: int) -> Matrix:
+        """The component out of degree k, zero where none is stored."""
         m = self.comps.get(k)
         if m is None:
             return Matrix.zeros(self.target.dim(k + self._deg), self.source.dim(k))
@@ -172,8 +168,7 @@ class _Graded:
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             return False
-        keys = set(self.comps) | set(other.comps)
-        return all(self._comp(k) == other._comp(k) for k in keys)
+        return all(self._comp(k) == other._comp(k) for k in self.comps.keys() | other.comps)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
@@ -186,11 +181,11 @@ class ChainMap(_Graded):
     f = _Graded._comp
 
     def validate(self) -> List[str]:
+        A, B, stored = self.source, self.target, self.comps
         report = []
-        lo = min(self.source.lo, self.target.lo)
-        hi = max(self.source.hi, self.target.hi)
-        for k in range(lo + 1, hi + 1):
-            if self.target.d(k) * self.f(k) != self.f(k - 1) * self.source.d(k):
+        for k in range(min(A.lo, B.lo) + 1, max(A.hi, B.hi) + 1):
+            if ((k in B.diffs and k in stored or k - 1 in stored and k in A.diffs)
+                    and B.d(k) * self.f(k) != self.f(k - 1) * A.d(k)):
                 report.append(f"does not commute with differentials at degree {k}")
         return report
 
@@ -198,7 +193,7 @@ class ChainMap(_Graded):
         """self . other, requiring other.target == self.source."""
         if other.target != self.source:
             raise DimensionError("chain map composition: middle complexes differ")
-        # a degree where either factor has an empty shape gets a zero component
+        # a degree where either factor is absent is zero
         comps = {k: self.comps[k] * other.comps[k] for k in self.comps.keys() & other.comps.keys()}
         return ChainMap(other.source, self.target, comps)
 
@@ -218,7 +213,7 @@ class ChainMap(_Graded):
         return ChainMap(self.source, self.target, {k: -m for k, m in self.comps.items()})
 
     def __hash__(self):
-        return hash((self.source, self.target, tuple(sorted(self.comps))))
+        return hash((self.source, self.target))
 
 
 def validate_map(f) -> List[str]:
@@ -250,7 +245,9 @@ def homotopy_failures(f: ChainMap, g: ChainMap, h: ChainHomotopy) -> Iterator[in
     """The degrees k, ascending, where g_k - f_k != d_{k+1} h_k + h_{k-1} d_k."""
     A, B = f.source, f.target
     for k in range(min(A.lo, B.lo), max(A.hi, B.hi) + 1):
-        if g.f(k) - f.f(k) != B.d(k + 1) * h.h(k) + h.h(k - 1) * A.d(k):
+        if ((k in f.comps or k in g.comps or k in h.comps and k + 1 in B.diffs
+             or k - 1 in h.comps and k in A.diffs)
+                and g.f(k) - f.f(k) != B.d(k + 1) * h.h(k) + h.h(k - 1) * A.d(k)):
             yield k
 
 
@@ -476,7 +473,8 @@ def tensor_map_blocks(f, g, memo: TensorMemo) -> Dict[int, Tuple[int, int, list]
     """(rows, cols, blocks) of (f (x) g)_n for `Matrix.from_blocks`, by
     degree n over its source's and target's windows.  Either factor may be
     a complex, standing for its identity; its blocks are then Kronecker
-    products with an identity, which are placed without being formed."""
+    products with an identity, which are placed without being formed.  An
+    absent component places no block."""
     (A, C), (B, D) = _endpoints(f), _endpoints(g)
     cols, src_off = memo.table(A.support, B.support)
     rows, tgt_off = memo.table(C.support, D.support)
@@ -484,7 +482,7 @@ def tensor_map_blocks(f, g, memo: TensorMemo) -> Dict[int, Tuple[int, int, list]
            for n in range(min(A.lo + B.lo, C.lo + D.lo), max(A.hi + B.hi, C.hi + D.hi) + 1)}
     for (i, j), c0 in src_off.items():
         r0 = tgt_off.get((i, j))
-        if r0 is None:
+        if r0 is None or (f is not A and i not in f.comps) or (g is not B and j not in g.comps):
             continue
         if f is A:
             m, kron = g.comps[j], (1, A.dims[i - A.lo], 1)

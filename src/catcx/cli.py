@@ -131,8 +131,8 @@ def cmd_hom_complex(args):
 
 
 def cmd_totalize(args):
-    from .multicplx import totalize
-    return 0, totalize(*_valid(args, "multicomplex", "file"))
+    from .multicplx import totalize, totalize_dims
+    return 0, totalize(*_valid(args, "multicomplex", "file", dims=totalize_dims))
 
 
 def cmd_koszul(args):

@@ -14,8 +14,8 @@ subsets are comma-joined ("1,0", "1,3", "" for the empty set).
 The environment variable CATCX_MAX_DIM (default 512) caps every declared
 dimension and matrix side at parse time, and the largest degree of a
 Koszul input and its basis subsets, so a malicious or runaway input fails
-fast instead of allocating.  The tensor and hom-complex commands apply it
-to each degree of their result too, before building it.
+fast instead of allocating.  The tensor, hom-complex and totalize commands
+apply it to each degree of their result too, before building it.
 
 Each document type is one row of the table `_TYPES`: (tag, module, class,
 parse, to_json, check), where check lists the invariants `catcx validate`
@@ -353,19 +353,20 @@ def _parse_chain_homotopy(d: dict, ctx: _Ctx, path: str) -> ChainHomotopy:
 # Key order does not matter: the writer sorts keys.
 
 
-def _components_json(comps: Dict[int, Matrix]) -> dict:
-    return {str(k): m for k, m in comps.items() if m.rows and m.cols}
+def _components_json(block: Callable[[int], Matrix], degrees) -> dict:
+    """Each block(k) of a non-empty shape by degree k, zero where none is stored."""
+    return {str(k): m for k in degrees for m in (block(k),) if m.rows and m.cols}
 
 
 def _chain_complex_json(C) -> dict:
-    diffs = _components_json({k: C.d(k) for k in range(C.lo + 1, C.hi + 1)})
+    diffs = _components_json(C.d, range(C.lo + 1, C.hi + 1))
     return {"lo": C.lo, "hi": C.hi, "dims": C.dims, "differentials": diffs}
 
 
 def _chain_map_json(f) -> dict:
     """Chain maps and chain homotopies alike."""
     return {"source": f.source, "target": f.target,
-            "components": _components_json(f.comps)}
+            "components": _components_json(f._comp, f.source.degrees())}
 
 
 def _parse_matrix_document(d: dict, ctx: _Ctx, path: str) -> Matrix:

@@ -654,11 +654,12 @@ def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
 
 
 def _delta1_json(N) -> dict:
+    cells = {name: getattr(N, f"cell_{name}") for name in ("f0", "0f", "f1", "1f")}
     return {"g_src": N.g_src, "g_tgt": N.g_tgt,
             "entries": {f"{t},{s}": N.entry(t, s)
                         for t in (0, 1) for s in (0, 1)},
-            "cells": {name: _components_json(getattr(N, f"cell_{name}").comps)
-                      for name in ("f0", "0f", "f1", "1f")}}
+            "cells": {name: _components_json(c.f, c.source.degrees())
+                      for name, c in cells.items()}}
 
 
 def _fin_poset_json(P) -> dict:

@@ -111,15 +111,28 @@ def validate_multicomplex(M: MultiComplex) -> List[str]:
     return report
 
 
+def _summands(M: MultiComplex) -> Tuple[List[int], Dict[MultiDeg, int]]:
+    """dim tot_n by n - sum(lo), and where each multidegree's summand starts
+    in its degree: one pass over the box in lex order."""
+    lo = sum(M.lo)
+    dims = [0] * (sum(M.hi) - lo + 1)
+    off: Dict[MultiDeg, int] = {}
+    for a in M.multidegrees():
+        t = sum(a) - lo
+        off[a], dims[t] = dims[t], dims[t] + M.dim(a)
+    return dims, off
+
+
+def totalize_dims(M: MultiComplex) -> Dict[int, int]:
+    """Dimension of tot_n by degree n, from the dimensions alone."""
+    return dict(enumerate(_summands(M)[0], sum(M.lo)))
+
+
 def totalize(M: MultiComplex) -> ChainComplex:
     """Summands of tot_n are the multidegrees with sum n, in ascending lex
     order; d_j out of a carries the sign (-1)^(a_1 + ... + a_{j-1})."""
     lo, hi = sum(M.lo), sum(M.hi)
-    dims = [0] * (hi - lo + 1)
-    off: Dict[MultiDeg, int] = {}
-    for a in M.multidegrees():  # lex order
-        t = sum(a) - lo
-        off[a], dims[t] = dims[t], dims[t] + M.dim(a)
+    dims, off = _summands(M)
     blocks: Dict[int, list] = {}
     for j, table in M.diffs.items():
         for a, m in table.items():
@@ -287,7 +300,7 @@ def cube_from_multicomplex(M: MultiComplex) -> ChainCube:
         for i in sorted(J):
             src = vertices[J]
             tgt = vertices[J - {i}]
-            edges[i][J] = ChainMap(src, tgt, {0: M.d(i, a)})
+            edges[i][J] = ChainMap(src, tgt, {0: M.diffs[i].get(a)})
     return ChainCube(M.n, vertices, edges)
 
 # -- document codecs (rows of documents._TYPES) ---------------------------------
@@ -379,7 +392,7 @@ def _multicomplex_json(M) -> dict:
 def _chain_cube_json(Q) -> dict:
     edges = {}
     for i in range(1, Q.n + 1):
-        edges[str(i)] = {_subset_key(J): _components_json(e.comps)
+        edges[str(i)] = {_subset_key(J): _components_json(e.f, e.source.degrees())
                          for J, e in Q.edges[i].items()}
     return {"n": Q.n, "vertices": {_subset_key(J): v for J, v in Q.vertices.items()},
             "edges": edges}
