@@ -197,17 +197,20 @@ class ChainMap(_Graded):
         comps = {k: self.comps[k] * other.comps[k] for k in self.comps.keys() & other.comps.keys()}
         return ChainMap(other.source, self.target, comps)
 
-    def _combine(self, other: "ChainMap", op, what: str) -> "ChainMap":
+    def _plus(self, other: "ChainMap", what: str) -> "ChainMap":
+        """self + other; a degree stored on one side only is that side's block."""
         if self.source != other.source or self.target != other.target:
             raise DimensionError(f"chain map {what}: endpoints differ")
-        return ChainMap(self.source, self.target,
-                        {k: op(self.f(k), other.f(k)) for k in self.comps.keys() | other.comps})
+        comps = {**other.comps, **self.comps}
+        for k in self.comps.keys() & other.comps.keys():
+            comps[k] = self.comps[k] + other.comps[k]
+        return ChainMap(self.source, self.target, comps)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
-        return self._combine(other, Matrix.__add__, "addition")
+        return self._plus(other, "addition")
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
-        return self._combine(other, Matrix.__sub__, "subtraction")
+        return self._plus(-other, "subtraction")
 
     def __neg__(self) -> "ChainMap":
         return ChainMap(self.source, self.target, {k: -m for k, m in self.comps.items()})
@@ -315,13 +318,20 @@ def cone_complex(f: ChainMap) -> ChainComplex:
     return sum_cone(f.source, [(f.target, f.comps, 1)])
 
 
+def sum_cone_dims(A: ChainComplex, *Ts: ChainComplex) -> Dict[int, int]:
+    """Dimension of cone(A -> T_1 (+) T_2 (+) ...) by degree k over its
+    window, A_{k-1} + T_1,k + ..., from the dimensions alone."""
+    lo = min(A.lo + 1, *(T.lo for T in Ts))
+    hi = max(A.hi + 1, *(T.hi for T in Ts))
+    return {k: A.dim(k - 1) + sum(T.dim(k) for T in Ts) for k in range(lo, hi + 1)}
+
+
 def sum_cone(A: ChainComplex, legs: List[tuple]) -> ChainComplex:
     """The complex of cone(A -> T_1 (+) T_2 (+) ...) for legs (T_i, the
     components of f_i: A -> T_i, sign_i), the map being (sign_i f_i): degree
     k is A_{k-1} (+) T_1,k (+) ..., and d = [[-d_A, 0], [-sign_i f_i, d_T_i]]."""
-    lo = min(A.lo + 1, *(T.lo for T, _, _ in legs))
-    hi = max(A.hi + 1, *(T.hi for T, _, _ in legs))
-    dims = tuple(A.dim(k - 1) + sum(T.dim(k) for T, _, _ in legs) for k in range(lo, hi + 1))
+    by_degree = sum_cone_dims(A, *(T for T, _, _ in legs))
+    lo, hi, dims = min(by_degree), max(by_degree), tuple(by_degree.values())
     diffs = {}
     for k in range(lo + 1, hi + 1):
         blocks = [(0, 0, A.diffs[k - 1], -1, 1, 1)] if k - 1 in A.diffs else []

@@ -115,9 +115,15 @@ def cmd_homology(args):
                "dims": {str(k): v for k, v in sorted(dims.items())}}
 
 
+def _cone_dims(f) -> dict:
+    """Dimension of cone(f) by degree, A_{k-1} + B_k, from the declared dimensions alone."""
+    from .chain import sum_cone_dims
+    return sum_cone_dims(f.source, f.target)
+
+
 def cmd_cone(args):
     from .chain import cone
-    return 0, cone(*_valid(args, "chain_map", "file")).complex
+    return 0, cone(*_valid(args, "chain_map", "file", dims=_cone_dims)).complex
 
 
 def cmd_tensor(args):
@@ -241,18 +247,20 @@ def cmd_lax_compose(args):
 
 def cmd_cof(args):
     from .laxmat import cof_action
-    return 0, cof_action(*_valid(args, "chain_map", "file"))
+    return 0, cof_action(*_valid(args, "chain_map", "file", dims=_cone_dims))
 
 
 def cmd_fib(args):
     from .laxmat import fib_action
-    return 0, fib_action(*_valid(args, "chain_map", "file"))
+    # the fibre is the cone shifted down by one
+    return 0, fib_action(*_valid(args, "chain_map", "file", dims=lambda f: {
+        k - 1: n for k, n in _cone_dims(f).items()}))
 
 
 def cmd_cc2(args):
-    from .simplex import TotalizationError, cc2
+    from .simplex import TotalizationError, cc2, cc2_dims
     try:
-        return 0, cc2(*_valid(args, "chain_map", "left", "right")).total
+        return 0, cc2(*_valid(args, "chain_map", "left", "right", dims=cc2_dims)).total
     except TotalizationError as e:
         raise _failed(e)
 

@@ -14,8 +14,9 @@ subsets are comma-joined ("1,0", "1,3", "" for the empty set).
 The environment variable CATCX_MAX_DIM (default 512) caps every declared
 dimension and matrix side at parse time, and the largest degree of a
 Koszul input and its basis subsets, so a malicious or runaway input fails
-fast instead of allocating.  The tensor, hom-complex and totalize commands
-apply it to each degree of their result too, before building it.
+fast instead of allocating.  The tensor, hom-complex, totalize, cone, cof,
+fib and cc2 commands apply it to each degree of their result too, before
+building it.
 
 Each document type is one row of the table `_TYPES`: (tag, module, class,
 parse, to_json, check), where check lists the invariants `catcx validate`

@@ -430,16 +430,10 @@ class Matrix:
         return Matrix._of(self.rows * other.rows, ac * bc, out, self._d * other._d)
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise DimensionError("hstack needs equal row counts")
-        return Matrix.from_blocks(self.rows, self.cols + other.cols,
-                                  [(0, 0, self), (0, self.cols, other)])
+        return Matrix.block([[self, other]])
 
     def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionError("vstack needs equal column counts")
-        return Matrix.from_blocks(self.rows + other.rows, self.cols,
-                                  [(0, 0, self), (self.rows, 0, other)])
+        return Matrix.block([[self], [other]])
 
     @staticmethod
     def block(grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
@@ -555,8 +549,6 @@ class Matrix:
         if self.rows != self.cols:
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
-        if n == 0:
-            return Matrix.zeros(0, 0)
         a, pivots, D = self._reduced(Matrix.identity(n))
         if pivots != list(range(n)):
             return None

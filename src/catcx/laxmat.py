@@ -363,19 +363,18 @@ class Delta1ChainMatrix(Record):
         return self.entries[(t, s)]
 
 
-def _ends(D: Delta1ChainMatrix, g_tgt: ChainComplex, g_src: ChainComplex,
-          memo: TensorMemo) -> list:
+def _ends(D: Delta1ChainMatrix, memo: TensorMemo) -> list:
     """(name, cell, the source it must have, the target it must have)."""
-    e = D.entry
+    e, g_tgt, g_src = D.entry, D.g_tgt, D.g_src
     return [("cell_f0", D.cell_f0, memo.tensor(g_tgt, e(0, 0)), e(1, 0)),
             ("cell_0f", D.cell_0f, memo.tensor(e(0, 1), g_src), e(0, 0)),
             ("cell_f1", D.cell_f1, memo.tensor(g_tgt, e(0, 1)), e(1, 1)),
             ("cell_1f", D.cell_1f, memo.tensor(e(1, 1), g_src), e(1, 0))]
 
 
-def _square_commutes(D: Delta1ChainMatrix, g_tgt: ChainComplex, g_src: ChainComplex,
-                     memo: TensorMemo) -> bool:
+def _square_commutes(D: Delta1ChainMatrix, memo: TensorMemo) -> bool:
     """The structure square, compared on (g_tgt (x) E01) (x) g_src."""
+    g_tgt, g_src = D.g_tgt, D.g_src
     route_b = D.cell_1f.compose(tensor_map(D.cell_f1, g_src, memo))
     route_a = D.cell_f0.compose(ChainMap(
         route_b.source, memo.tensor(g_tgt, D.entry(0, 0)),
@@ -396,13 +395,13 @@ def validate_delta1_matrix(D: Delta1ChainMatrix, memo: Optional[TensorMemo] = No
     report += [f"g_src: {msg}" for msg in validate_complex(D.g_src)]
     report += [f"g_tgt: {msg}" for msg in validate_complex(D.g_tgt)]
     memo = TensorMemo() if memo is None else memo
-    for name, m, src, tgt in _ends(D, D.g_tgt, D.g_src, memo):
+    for name, m, src, tgt in _ends(D, memo):
         if m.source != src or m.target != tgt:
             report.append(f"{name} has wrong endpoints")
             return report
         for msg in m.validate():
             report.append(f"{name}: {msg}")
-    if not _square_commutes(D, D.g_tgt, D.g_src, memo):
+    if not _square_commutes(D, memo):
         report.append("structure square does not commute")
     return report
 
@@ -486,12 +485,12 @@ def lax_compose_delta1(N: Delta1ChainMatrix, M: Delta1ChainMatrix,
         raise DimensionError("composition needs N.g_src == M.g_tgt")
     memo = TensorMemo() if memo is None else memo
     G, H, F = N.g_src, N.g_tgt, M.g_src
-    for name, m, src, tgt in _ends(N, H, G, memo) + _ends(M, M.g_tgt, F, memo):
+    for name, m, src, tgt in _ends(N, memo) + _ends(M, memo):
         if m.source != src or m.target != tgt:
             raise DimensionError(f"{name} has wrong endpoints")
     # with both squares commuting, every induced span map below commutes
     for D, side in ((N, "left"), (M, "right")):
-        if not _square_commutes(D, D.g_tgt, D.g_src, memo):
+        if not _square_commutes(D, memo):
             raise DimensionError(f"span map: {side} square does not commute")
     legs = {(u, s): _entry_legs(N, M, u, s, memo) for u in (0, 1) for s in (0, 1)}
     pushes = {key: (A, B, C, sum_cone(A, [(B, p, 1), (C, q, -1)]))

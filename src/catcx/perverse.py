@@ -13,6 +13,12 @@ Four quiver-type models, all over Q with exact invertibility checks:
   LocalStar   one Phi with n pairs (f_i, g_i) through Psi_i, f_i g_i = id,
               f_{i+1} g_i invertible (cyclically), f_j g_i = 0 otherwise.
 
+The two invertibility conditions of a gluing pair are one: for any
+f: X -> Y and g: Y -> X, det(id_Y - f g) = det(id_X - g f) (Sylvester's
+determinant identity).  So the validators check each pair once, as
+validate_disk checks id - f g alone, and a singular pair is reported
+with both of its texts.
+
 amalgamate glues two disks over a common Psi; the new monodromy is the
 product of the old ones, which is the basic gluing identity the test suite
 exercises at scale.
@@ -116,10 +122,10 @@ def validate_flag(P: PervFlag) -> List[str]:
         if not (P.delta[k] * P.delta[k + 1]).is_zero():
             report.append(f"delta.delta != 0 at index {k}")
     for k in range(n):
+        # det(id - d delta) = det(id - delta d): one check decides both
         if not (Matrix.identity(P.dims[k + 1]) - P.d[k] * P.delta[k]).is_invertible():
-            report.append(f"id - d delta singular at level {k + 1}")
-        if not (Matrix.identity(P.dims[k]) - P.delta[k] * P.d[k]).is_invertible():
-            report.append(f"id - delta d singular at level {k}")
+            report += [f"id - d delta singular at level {k + 1}",
+                       f"id - delta d singular at level {k}"]
     return report
 
 
@@ -217,12 +223,11 @@ def validate_cube(P: PervCube) -> List[str]:
         for i in range(1, P.n + 1):
             if i in J:
                 continue
+            # det(g f - id) = +-det(f g - id): one check decides both
             gf = P.gmap(i, J) * P.fmap(i, J) - Matrix.identity(P.dim(J | {i}))
-            fg = P.fmap(i, J) * P.gmap(i, J) - Matrix.identity(P.dim(J))
             if not gf.is_invertible():
-                report.append(f"g_{i} f_{i} - id singular at {sorted(J)}")
-            if not fg.is_invertible():
-                report.append(f"f_{i} g_{i} - id singular at {sorted(J)}")
+                report += [f"g_{i} f_{i} - id singular at {sorted(J)}",
+                           f"f_{i} g_{i} - id singular at {sorted(J)}"]
     return report
 
 

@@ -23,12 +23,12 @@ built that way, with `chain.sum_cone`; p and q are the maps of cones
 from __future__ import annotations
 
 import itertools
-from typing import List
+from typing import Dict, List
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
 from .chain import (ChainComplex, ChainHomotopy, ChainMap, check_homotopy, cone_complex,
-                    cone_map, shift, sum_cone, validate_complex, zero_map)
+                    cone_map, shift, sum_cone, sum_cone_dims, validate_complex, zero_map)
 
 
 class TotalizationError(Exception):
@@ -49,20 +49,15 @@ def linear_cochain(n: int, dim_v: int) -> ChainComplex:
     diffs = {}
     for k in range(n):
         # d: degree -k -> degree -(k+1)
-        rows_sets = subsets[k + 1]
-        cols_sets = subsets[k]
-        col_index = {s: c for c, s in enumerate(cols_sets)}
-        rows = len(rows_sets) * dim_v
-        cols = len(cols_sets) * dim_v
+        col_index = {s: c for c, s in enumerate(subsets[k])}
+        rows, cols = len(subsets[k + 1]), len(subsets[k])
         ent = [0] * (rows * cols)
-        for r, sigma in enumerate(rows_sets):
+        for r, sigma in enumerate(subsets[k + 1]):
             for i in range(len(sigma)):
-                tau = sigma[:i] + sigma[i + 1:]
-                c = col_index[tau]
-                sgn = -1 if i % 2 else 1
-                for v in range(dim_v):
-                    ent[(r * dim_v + v) * cols + (c * dim_v + v)] = sgn
-        diffs[-k] = Matrix._of(rows, cols, ent)
+                ent[r * cols + col_index[sigma[:i] + sigma[i + 1:]]] = -1 if i % 2 else 1
+        # the signed incidence matrix D, placed as D (x) 1_V
+        diffs[-k] = Matrix.from_blocks(rows * dim_v, cols * dim_v,
+                                       [(0, 0, Matrix._of(rows, cols, ent), 1, 1, dim_v)])
     return ChainComplex(-n, 0, dims, diffs)
 
 
@@ -140,6 +135,17 @@ def _total(level1: CC2Level1) -> ChainComplex:
             "assembled differential does not square to zero; "
             "the supplied homotopy is inconsistent with the maps")
     return T
+
+
+def cc2_dims(u: ChainMap, v: ChainMap) -> Dict[int, int]:
+    """Dimension of cc2(u, v)'s total complex by degree, from the declared
+    dimensions alone: T_k = (Y01)_{k-2} + (Y02)_{k-1} + (Y12)_k.  Every cone
+    cc2 builds is a summand of some T_k."""
+    def cone_shape(A, B, m):  # cone(A -> B)[m], dimensions only
+        dims = sum_cone_dims(A, B)
+        return ChainComplex(min(dims) + m, max(dims) + m, tuple(dims.values()))
+    return sum_cone_dims(cone_shape(u.source, u.target, 1), cone_shape(u.source, v.target, 1),
+                         cone_shape(v.source, v.target, 0))
 
 
 def cc2(u: ChainMap, v: ChainMap) -> CatCochain2Level:
