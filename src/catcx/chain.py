@@ -19,12 +19,17 @@ Every graded object stores only the blocks it is given: a complex its
 differentials inside its window, a chain map or homotopy its components of
 non-empty shape, each by ascending degree.  An absent block is zero, and
 `d(k)`, `f(k)` and `h(k)` make the zero matrix for callers that need one.
+The rule covers construction results too: `sum_cone` stores a differential
+only in a degree where it places a block, so a cone of mostly-zero inputs
+holds no zero matrix.
 
 Cones are built one way: `sum_cone` builds the cone of A -> T_1 (+) T_2 (+)
 ..., and `cone_map` the map of two such cones induced by a map of their
 diagrams.  Every cone-shaped construction in the package (mapping cones,
 homotopy pushouts, cube collapses, the twisted totalization of `simplex`)
-is built from these two.
+is built from these two.  A `Cone` builds its two structure maps only when
+they are read: `catcx cone` writes the complex alone, and `cof` only the
+map from the target.
 """
 
 from __future__ import annotations
@@ -182,12 +187,10 @@ class ChainMap(_Graded):
 
     def validate(self) -> List[str]:
         A, B, stored = self.source, self.target, self.comps
-        report = []
-        for k in range(min(A.lo, B.lo) + 1, max(A.hi, B.hi) + 1):
-            if ((k in B.diffs and k in stored or k - 1 in stored and k in A.diffs)
-                    and B.d(k) * self.f(k) != self.f(k - 1) * A.d(k)):
-                report.append(f"does not commute with differentials at degree {k}")
-        return report
+        # only a degree where a stored block meets a differential can fail
+        degrees = B.diffs.keys() & stored.keys() | A.diffs.keys() & {k + 1 for k in stored}
+        return [f"does not commute with differentials at degree {k}" for k in sorted(degrees)
+                if B.d(k) * self.f(k) != self.f(k - 1) * A.d(k)]
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self . other, requiring other.target == self.source."""
@@ -247,10 +250,11 @@ class ChainHomotopy(_Graded):
 def homotopy_failures(f: ChainMap, g: ChainMap, h: ChainHomotopy) -> Iterator[int]:
     """The degrees k, ascending, where g_k - f_k != d_{k+1} h_k + h_{k-1} d_k."""
     A, B = f.source, f.target
-    for k in range(min(A.lo, B.lo), max(A.hi, B.hi) + 1):
-        if ((k in f.comps or k in g.comps or k in h.comps and k + 1 in B.diffs
-             or k - 1 in h.comps and k in A.diffs)
-                and g.f(k) - f.f(k) != B.d(k + 1) * h.h(k) + h.h(k - 1) * A.d(k)):
+    # only a degree where a stored block meets a product can fail
+    degrees = (f.comps.keys() | g.comps.keys() | h.comps.keys() & {k - 1 for k in B.diffs}
+               | A.diffs.keys() & {k + 1 for k in h.comps})
+    for k in sorted(degrees):
+        if g.f(k) - f.f(k) != B.d(k + 1) * h.h(k) + h.h(k - 1) * A.d(k):
             yield k
 
 
@@ -290,12 +294,25 @@ def shift_map(f: ChainMap, m: int) -> ChainMap:
 
 
 class Cone(Record):
-    """Mapping cone with its two canonical structure maps."""
+    """Mapping cone of f: A -> B; its two canonical structure maps are built
+    when read."""
 
-    __slots__ = ("complex", "from_target", "to_shifted_source")
+    __slots__ = ("map", "complex")
+    map: ChainMap
     complex: ChainComplex
-    from_target: ChainMap      # B -> cone
-    to_shifted_source: ChainMap  # cone -> A[1]
+
+    @property
+    def from_target(self) -> ChainMap:
+        """B -> cone, the inclusion of the B-part."""
+        A, B, cx = self.map.source, self.map.target, self.complex
+        return ChainMap(B, cx, {k: inclusion(cx.dim(k), A.dim(k - 1), B.dim(k))
+                                for k in B.degrees()})
+
+    @property
+    def to_shifted_source(self) -> ChainMap:
+        """cone -> A[1], the projection onto the A[1]-part."""
+        sh, cx = shift(self.map.source, 1), self.complex
+        return ChainMap(cx, sh, {k: projection(cx.dim(k), 0, sh.dim(k)) for k in sh.degrees()})
 
 
 def cone(f: ChainMap) -> Cone:
@@ -303,14 +320,7 @@ def cone(f: ChainMap) -> Cone:
 
     The A[1]-part comes first in the direct sum ordering.
     """
-    A, B = f.source, f.target
-    cx = cone_complex(f)
-    from_target = ChainMap(B, cx, {k: inclusion(cx.dim(k), A.dim(k - 1), B.dim(k))
-                                   for k in B.degrees()})
-    sh = shift(A, 1)
-    to_shifted_source = ChainMap(cx, sh, {k: projection(cx.dim(k), 0, A.dim(k - 1))
-                                          for k in sh.degrees()})
-    return Cone(cx, from_target, to_shifted_source)
+    return Cone(f, cone_complex(f))
 
 
 def cone_complex(f: ChainMap) -> ChainComplex:
@@ -330,10 +340,9 @@ def sum_cone(A: ChainComplex, legs: List[tuple]) -> ChainComplex:
     """The complex of cone(A -> T_1 (+) T_2 (+) ...) for legs (T_i, the
     components of f_i: A -> T_i, sign_i), the map being (sign_i f_i): degree
     k is A_{k-1} (+) T_1,k (+) ..., and d = [[-d_A, 0], [-sign_i f_i, d_T_i]]."""
-    by_degree = sum_cone_dims(A, *(T for T, _, _ in legs))
-    lo, hi, dims = min(by_degree), max(by_degree), tuple(by_degree.values())
+    dims = sum_cone_dims(A, *(T for T, _, _ in legs))
     diffs = {}
-    for k in range(lo + 1, hi + 1):
+    for k in list(dims)[1:]:
         blocks = [(0, 0, A.diffs[k - 1], -1, 1, 1)] if k - 1 in A.diffs else []
         r, c = A.dim(k - 2), A.dim(k - 1)
         for T, comps, sign in legs:
@@ -342,8 +351,9 @@ def sum_cone(A: ChainComplex, legs: List[tuple]) -> ChainComplex:
             if k in T.diffs:
                 blocks.append((r, c, T.diffs[k]))
             r, c = r + T.dim(k - 1), c + T.dim(k)
-        diffs[k] = Matrix.from_blocks(dims[k - 1 - lo], dims[k - lo], blocks)
-    return ChainComplex(lo, hi, dims, diffs)
+        if blocks:
+            diffs[k] = Matrix.from_blocks(dims[k - 1], dims[k], blocks)
+    return ChainComplex(min(dims), max(dims), dims.values(), diffs)
 
 
 def _endpoints(f) -> Tuple[ChainComplex, ChainComplex]:

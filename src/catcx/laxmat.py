@@ -43,8 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
-from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_complex, cone_map,
-                    euler_characteristic, inclusion, projection, shift, sum_cone,
+from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_map,
+                    euler_characteristic, inclusion, shift_map, sum_cone,
                     tensor, tensor_dims, tensor_map, tensor_map_blocks, tensor_map_comps,
                     unit_complex, validate_complex, zero_complex)
 from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
@@ -562,11 +562,10 @@ def cof_action(f: ChainMap) -> ChainMap:
 
 
 def fib(f: ChainMap) -> Tuple[ChainComplex, ChainMap]:
-    """fib(f) = cone(f)[-1] together with the projection to the source."""
-    F = shift(cone_complex(f), -1)
-    A = f.source
-    proj = {k: projection(F.dim(k), 0, A.dim(k)) for k in F.degrees()}
-    return F, ChainMap(F, A, proj)
+    """fib(f) = cone(f)[-1] together with the projection to the source,
+    which is cone(f) -> A[1] shifted by -1."""
+    p = shift_map(cone(f).to_shifted_source, -1)
+    return p.source, p
 
 
 def fib_action(f: ChainMap) -> ChainMap:

@@ -128,7 +128,7 @@ def _total(level1: CC2Level1) -> ChainComplex:
     # (p, h) stacked: (Y01[1])_{k+1} = (Y01)_k -> cone(q)_{k+1} = (Y02)_k (+) (Y12)_{k+1}
     ph = {k + 1: Matrix.from_blocks(cq.dim(k + 1), y01.dim(k),
                                     [(0, 0, p.f(k)), (y02.dim(k), 0, h.h(k))])
-          for k in y01.degrees()}
+          for k in p.comps.keys() | h.comps.keys()}
     T = sum_cone(shift(y01, 1), [(cq, ph, -1)])
     if validate_complex(T):
         raise TotalizationError(

@@ -94,7 +94,11 @@ def test_cc2_total_is_the_explicit_3x3_grid():
         assert T.dims == tuple(y01.dim(k - 2) + y02.dim(k - 1) + y12.dim(k)
                                for k in range(lo, hi + 1))
         seen_empty |= 0 in T.dims
-        assert set(T.diffs) == set(range(lo + 1, hi + 1))
+        # T stores d_k exactly where one of the nine grid blocks below is stored
+        assert set(T.diffs) == ({k + 2 for k in y01.diffs.keys() | lv.p.comps.keys()
+                                 | lv.h.comps.keys()}
+                                | {k + 1 for k in y02.diffs.keys() | lv.q.comps.keys()}
+                                | set(y12.diffs))
         for k in range(lo + 1, hi + 1):
             a, b, c = y01.d(k - 2), y02.d(k - 1), y12.d(k)
             p, q, h = lv.p.f(k - 2), lv.q.f(k - 1), lv.h.h(k - 2)
