@@ -21,7 +21,15 @@ non-empty shape, each by ascending degree.  An absent block is zero, and
 `d(k)`, `f(k)` and `h(k)` make the zero matrix for callers that need one.
 The rule covers construction results too: `sum_cone` stores a differential
 only in a degree where it places a block, so a cone of mostly-zero inputs
-holds no zero matrix.
+holds no zero matrix.  No construction builds a block of empty shape: each
+one that builds components degree by degree skips a degree whose rows or
+columns are 0, or where it places nothing, before it builds anything.  A
+complex the library sizes itself (`tensor`, `sum_cone`, `hom_complex`,
+`shift`, `direct_sum`, `multicplx.totalize`) is made by the trusted
+`ChainComplex._of`, as `Matrix._of` makes matrices: `Matrix.from_blocks`
+has already checked that every block fits, so its shapes are not checked
+again.  `ChainComplex(...)` stays the one checked entry, for parsed and
+caller data.
 
 Cones are built one way: `sum_cone` builds the cone of A -> T_1 (+) T_2 (+)
 ..., and `cone_map` the map of two such cones induced by a map of their
@@ -68,6 +76,17 @@ class ChainComplex:
                     f"expected {rows}x{cols}"
                 )
 
+    @classmethod
+    def _of(cls, lo: int, hi: int, dims: Tuple[int, ...],
+            diffs: Dict[int, Matrix]) -> "ChainComplex":
+        """Trusted constructor, as `Matrix._of`: dims a tuple of ints over
+        [lo, hi], diffs by ascending degree inside (lo, hi], each of the
+        shape it has in the complex; nothing is checked."""
+        C = object.__new__(cls)
+        C.lo, C.hi, C.dims, C.diffs = lo, hi, dims, diffs
+        C.support = tuple((k, n) for k, n in zip(range(lo, hi + 1), dims) if n)
+        return C
+
     def dim(self, k: int) -> int:
         if self.lo <= k <= self.hi:
             return self.dims[k - self.lo]
@@ -95,7 +114,7 @@ class ChainComplex:
             self.lo == other.lo
             and self.hi == other.hi
             and self.dims == other.dims
-            and all(self.d(k) == other.d(k) for k in self.diffs.keys() | other.diffs)
+            and _same_blocks(self.diffs, other.diffs)
         )
 
     def __hash__(self):
@@ -103,6 +122,13 @@ class ChainComplex:
 
     def __repr__(self):
         return f"ChainComplex([{self.lo},{self.hi}], dims={list(self.dims)})"
+
+
+def _same_blocks(a: Dict[int, Matrix], b: Dict[int, Matrix]) -> bool:
+    """Whether two stores of blocks of the same shapes hold the same graded
+    object: a block stored on one side only must be zero."""
+    return (all(b[k] == m if k in b else m.is_zero() for k, m in a.items())
+            and all(m.is_zero() for k, m in b.items() if k not in a))
 
 
 def zero_complex() -> ChainComplex:
@@ -173,7 +199,7 @@ class _Graded:
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             return False
-        return all(self._comp(k) == other._comp(k) for k in self.comps.keys() | other.comps)
+        return _same_blocks(self.comps, other.comps)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
@@ -230,7 +256,7 @@ def validate_map(f) -> List[str]:
 
 
 def identity_map(C: ChainComplex) -> ChainMap:
-    return ChainMap(C, C, {k: Matrix.identity(C.dim(k)) for k in C.degrees()})
+    return ChainMap(C, C, {k: Matrix.identity(n) for k, n in C.support})
 
 
 def zero_map(A: ChainComplex, B: ChainComplex) -> ChainMap:
@@ -284,8 +310,8 @@ def euler_characteristic(C: ChainComplex) -> int:
 def shift(C: ChainComplex, m: int) -> ChainComplex:
     """C[m]_k = C_{k-m}; differential scaled by (-1)^m."""
     sign = -1 if m % 2 else 1
-    diffs = {k + m: d.scale(sign) for k, d in C.diffs.items()}
-    return ChainComplex(C.lo + m, C.hi + m, C.dims, diffs)
+    diffs = {k + m: d.scale(sign) for k, d in C.diffs.items() if d.rows and d.cols}
+    return ChainComplex._of(C.lo + m, C.hi + m, C.dims, diffs)
 
 
 def shift_map(f: ChainMap, m: int) -> ChainMap:
@@ -305,14 +331,13 @@ class Cone(Record):
     def from_target(self) -> ChainMap:
         """B -> cone, the inclusion of the B-part."""
         A, B, cx = self.map.source, self.map.target, self.complex
-        return ChainMap(B, cx, {k: inclusion(cx.dim(k), A.dim(k - 1), B.dim(k))
-                                for k in B.degrees()})
+        return ChainMap(B, cx, {k: inclusion(cx.dim(k), A.dim(k - 1), n) for k, n in B.support})
 
     @property
     def to_shifted_source(self) -> ChainMap:
         """cone -> A[1], the projection onto the A[1]-part."""
         sh, cx = shift(self.map.source, 1), self.complex
-        return ChainMap(cx, sh, {k: projection(cx.dim(k), 0, sh.dim(k)) for k in sh.degrees()})
+        return ChainMap(cx, sh, {k: projection(cx.dim(k), 0, n) for k, n in sh.support})
 
 
 def cone(f: ChainMap) -> Cone:
@@ -343,6 +368,8 @@ def sum_cone(A: ChainComplex, legs: List[tuple]) -> ChainComplex:
     dims = sum_cone_dims(A, *(T for T, _, _ in legs))
     diffs = {}
     for k in list(dims)[1:]:
+        if not (dims[k - 1] and dims[k]):
+            continue
         blocks = [(0, 0, A.diffs[k - 1], -1, 1, 1)] if k - 1 in A.diffs else []
         r, c = A.dim(k - 2), A.dim(k - 1)
         for T, comps, sign in legs:
@@ -353,7 +380,7 @@ def sum_cone(A: ChainComplex, legs: List[tuple]) -> ChainComplex:
             r, c = r + T.dim(k - 1), c + T.dim(k)
         if blocks:
             diffs[k] = Matrix.from_blocks(dims[k - 1], dims[k], blocks)
-    return ChainComplex(min(dims), max(dims), dims.values(), diffs)
+    return ChainComplex._of(min(dims), max(dims), tuple(dims.values()), diffs)
 
 
 def _endpoints(f) -> Tuple[ChainComplex, ChainComplex]:
@@ -372,12 +399,13 @@ def cone_map(src: ChainComplex, tgt: ChainComplex, parts: tuple) -> ChainMap:
     for k in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1):
         blocks, r, c = [], 0, 0
         for at, f, (A, B) in zip((k - 1,) + (k,) * (len(parts) - 1), parts, ends):
-            if f is A:
-                blocks.append((r, c, Matrix.identity(A.dim(at))))
-            elif at in f.comps:
-                blocks.append((r, c, f.comps[at]))
-            r, c = r + B.dim(at), c + A.dim(at)
-        comps[k] = Matrix.from_blocks(r, c, blocks)
+            n = A.dim(at)
+            m = (Matrix.identity(n) if n else None) if f is A else f.comps.get(at)
+            if m is not None:
+                blocks.append((r, c, m))
+            r, c = r + B.dim(at), c + n
+        if blocks:  # every placed block has a non-empty shape
+            comps[k] = Matrix.from_blocks(r, c, blocks)
     return ChainMap(src, tgt, comps)
 
 
@@ -391,12 +419,14 @@ def direct_sum(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     hi = max(A.hi, B.hi)
     dims = tuple(A.dim(k) + B.dim(k) for k in range(lo, hi + 1))
     diffs = {}
-    for k in A.diffs.keys() | B.diffs:
-        blocks = [(0, 0, A.diffs[k])] if k in A.diffs else []
-        if k in B.diffs:
-            blocks.append((A.dim(k - 1), A.dim(k), B.diffs[k]))
-        diffs[k] = Matrix.from_blocks(A.dim(k - 1) + B.dim(k - 1), A.dim(k) + B.dim(k), blocks)
-    return ChainComplex(lo, hi, dims, diffs)
+    for k in sorted(A.diffs.keys() | B.diffs):
+        rows, cols = dims[k - 1 - lo], dims[k - lo]
+        if rows and cols:
+            blocks = [(0, 0, A.diffs[k])] if k in A.diffs else []
+            if k in B.diffs:
+                blocks.append((A.dim(k - 1), A.dim(k), B.diffs[k]))
+            diffs[k] = Matrix.from_blocks(rows, cols, blocks)
+    return ChainComplex._of(lo, hi, dims, diffs)
 
 
 def sum_inclusions(A: ChainComplex, B: ChainComplex) -> Tuple[ChainMap, ChainMap]:
@@ -454,8 +484,9 @@ def tensor(A: ChainComplex, B: ChainComplex) -> ChainComplex:
         if (i, j - 1) in off and j in B.diffs:
             blocks.setdefault(i + j, []).append(
                 (off[i, j - 1], c0, B.diffs[j], -1 if i % 2 else 1, A.dims[i - A.lo], 1))
-    diffs = {n: Matrix.from_blocks(dim[n - 1], dim[n], bl) for n, bl in blocks.items()}
-    return ChainComplex(lo, hi, tuple(dim.get(n, 0) for n in range(lo, hi + 1)), diffs)
+    # a block sits where degrees n - 1 and n both have a summand, so no shape is empty
+    diffs = {n: Matrix.from_blocks(dim[n - 1], dim[n], blocks[n]) for n in sorted(blocks)}
+    return ChainComplex._of(lo, hi, tuple(dim.get(n, 0) for n in range(lo, hi + 1)), diffs)
 
 
 class TensorMemo:
@@ -519,10 +550,9 @@ def tensor_map_comps(f, g, memo: TensorMemo,
     """Components of f (x) g by degree (a complex standing for its identity),
     without building its source and target; with gather = {degree: (cols,
     signs)}, composed with that index map as `Matrix.permute` composes."""
-    (A, _), (B, _) = _endpoints(f), _endpoints(g)
-    placed = tensor_map_blocks(f, g, memo)
-    return {n: Matrix.from_blocks(*placed[n], gather and gather[n])
-            for n in range(A.lo + B.lo, A.hi + B.hi + 1)}
+    # a degree where nothing is placed is zero; every placed block has a non-empty shape
+    return {n: Matrix.from_blocks(rows, cols, blocks, gather and gather[n])
+            for n, (rows, cols, blocks) in tensor_map_blocks(f, g, memo).items() if blocks}
 
 
 def tensor_map(f, g, memo: Optional[TensorMemo] = None) -> ChainMap:
@@ -573,9 +603,9 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
             if i + 1 in tgt_off and i + 1 in A.diffs:
                 blocks.append((tgt_off[i + 1], c0, A.diffs[i + 1].transpose(), sign,
                                B.dim(n + i), 1))
-        if blocks:
+        if blocks and dims[n - 1 - lo] and dims[n - lo]:
             diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
-    return ChainComplex(lo, hi, dims, diffs)
+    return ChainComplex._of(lo, hi, dims, diffs)
 
 
 def hom_element(A: ChainComplex, B: ChainComplex, n: int,

@@ -255,11 +255,13 @@ class Matrix:
             if g_cols and not (-1 <= min(g_cols) and max(g_cols) < cols):
                 raise DimensionError(f"column index out of range for {rows}x{cols}")
             width = len(g_cols)
-            if blocks:
-                to = [[] for _ in range(cols)]  # where each column goes
-                for j, c in enumerate(g_cols):
-                    if c >= 0:
-                        to[c].append(j)
+        if not blocks:
+            return cls._of(rows, width, (0,) * (rows * width))
+        if gather is not None:
+            to = [[] for _ in range(cols)]  # where each column goes
+            for j, c in enumerate(g_cols):
+                if c >= 0:
+                    to[c].append(j)
         ent = [0] * (rows * width)
         d = lcm(*[blk[2]._d for blk in blocks])
         for blk in blocks:

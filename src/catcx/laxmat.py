@@ -218,8 +218,8 @@ def hpushout(span: Span) -> Pushout:
     """cone((p, -q): apex -> B (+) C) with the canonical inclusions."""
     A, B, C = span.apex, span.left.target, span.right.target
     P = sum_cone(A, [(B, span.left.comps, 1), (C, span.right.comps, -1)])
-    fl = {k: inclusion(P.dim(k), A.dim(k - 1), B.dim(k)) for k in B.degrees()}
-    fr = {k: inclusion(P.dim(k), A.dim(k - 1) + B.dim(k), C.dim(k)) for k in C.degrees()}
+    fl = {k: inclusion(P.dim(k), A.dim(k - 1), n) for k, n in B.support}
+    fr = {k: inclusion(P.dim(k), A.dim(k - 1) + B.dim(k), n) for k, n in C.support}
     return Pushout(span, P, ChainMap(B, P, fl), ChainMap(C, P, fr))
 
 
@@ -239,7 +239,7 @@ IndexMap = Dict[int, Tuple[List[int], Optional[List[int]]]]  # see the module do
 
 
 def _dense(S: ChainComplex, T: ChainComplex, perm: IndexMap) -> ChainMap:
-    return ChainMap(S, T, {n: Matrix.monomial(T.dim(n), *p) for n, p in perm.items()})
+    return ChainMap(S, T, {n: Matrix.monomial(T.dim(n), *p) for n, p in perm.items() if p[0]})
 
 
 def _assoc_perm(X: ChainComplex, Y: ChainComplex, Z: ChainComplex, memo: TensorMemo,
@@ -413,7 +413,7 @@ def unit_matrix(G: ChainComplex) -> Delta1ChainMatrix:
     # tensoring with the one-dimensional unit in degree 0 gives back the
     # same complex on the nose, so two of the cells are plain identities;
     # zero (x) G and G (x) zero are the same zero complex on G's window
-    ident = {k: Matrix.identity(G.dim(k)) for k in G.degrees()}
+    ident = {k: Matrix.identity(n) for k, n in G.support}
     zeros = tensor(zero, G)
     return Delta1ChainMatrix(G, G, e, ChainMap(G, G, ident), ChainMap(zeros, one),
                              ChainMap(zeros, one), ChainMap(G, G, dict(ident)))
@@ -469,7 +469,9 @@ def _induced_cell(src: tuple, tgt: tuple, K: ChainComplex, side: str, on: list,
                 gathered += [j + width for j in perm[n - lag][0]]
                 width += c
             rows += Y.dim(n - lag)
-        comps[n] = Matrix.from_blocks(rows, width, blocks, ([gathered[j] for j in cols], signs))
+        if blocks:  # every placed block has a non-empty shape
+            comps[n] = Matrix.from_blocks(rows, width, blocks,
+                                          ([gathered[j] for j in cols], signs))
     return ChainMap(S, tgt[3], comps)
 
 

@@ -138,9 +138,9 @@ def totalize(M: MultiComplex) -> ChainComplex:
         for a, m in table.items():
             blocks.setdefault(sum(a), []).append(
                 (off[M._step(a, j)], off[a], m, -1 if sum(a[: j - 1]) % 2 else 1, 1, 1))
-    diffs = {n: Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], bl)
-             for n, bl in blocks.items()}
-    return ChainComplex(lo, hi, tuple(dims), diffs)
+    diffs = {n: Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks[n])
+             for n in sorted(blocks) if dims[n - 1 - lo] and dims[n - lo]}
+    return ChainComplex._of(lo, hi, tuple(dims), diffs)
 
 
 def permute_axes(M: MultiComplex, perm: Sequence[int]) -> MultiComplex:

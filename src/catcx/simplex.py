@@ -101,9 +101,9 @@ def cc2_d2(u: ChainMap, v: ChainMap) -> CC2Level1:
     q = cone_map(y02, y12, (u, x2))
     # h(x0, x1) = (-x1, 0) into (Y12)_{k+1} = X1_k (+) X2_{k+1}
     h = ChainHomotopy(y01, y12, {
-        k: Matrix.monomial(y12.dim(k + 1), [-1] * x0.dim(k - 1) + list(range(x1.dim(k))),
+        k: Matrix.monomial(y12.dim(k + 1), [-1] * x0.dim(k - 1) + list(range(n)),
                            [-1] * y01.dim(k))
-        for k in y01.degrees()})
+        for k, n in x1.support})
     return CC2Level1(y01, y02, y12, p, q, h)
 
 
