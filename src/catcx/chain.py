@@ -15,21 +15,20 @@ In tensor degrees, the summand A_i (x) B_{n-i} blocks are ordered by
 increasing i, and within a summand basis pairs (p, q) are ordered with p
 outermost (Kronecker order).
 
-Every graded object stores only the blocks it is given: a complex its
-differentials inside its window, a chain map or homotopy its components of
-non-empty shape, each by ascending degree.  An absent block is zero, and
-`d(k)`, `f(k)` and `h(k)` make the zero matrix for callers that need one.
-The rule covers construction results too: `sum_cone` stores a differential
-only in a degree where it places a block, so a cone of mostly-zero inputs
-holds no zero matrix.  No construction builds a block of empty shape: each
-one that builds components degree by degree skips a degree whose rows or
-columns are 0, or where it places nothing, before it builds anything.  A
-complex the library sizes itself (`tensor`, `sum_cone`, `hom_complex`,
-`shift`, `direct_sum`, `multicplx.totalize`) is made by the trusted
-`ChainComplex._of`, as `Matrix._of` makes matrices: `Matrix.from_blocks`
-has already checked that every block fits, so its shapes are not checked
-again.  `ChainComplex(...)` stays the one checked entry, for parsed and
-caller data.
+Every graded object (complex, chain map, homotopy, `multicplx.MultiComplex`)
+stores its blocks by one rule, which `_kept_blocks` alone applies: of the
+blocks it is given, those inside its window and of non-empty shape, by
+ascending degree.  An absent block is zero, and `d(k)`, `f(k)` and `h(k)`
+make the zero matrix for callers that need one.  Constructions keep the rule
+without checking it: a stored block has a non-empty shape, and so has every
+block built from stored ones, and each construction stores a degree only
+where it places a block, so a cone of mostly-zero inputs holds no zero
+matrix.  A complex the library sizes itself (`tensor`, `sum_cone`,
+`hom_complex`, `shift`, `direct_sum`, `multicplx.totalize`) is made by the
+trusted `ChainComplex._of`, as `Matrix._of` makes matrices:
+`Matrix.from_blocks` has already checked that every block fits, so its
+shapes are not checked again.  `ChainComplex(...)` stays the one checked
+entry, for parsed and caller data.
 
 Cones are built one way: `sum_cone` builds the cone of A -> T_1 (+) T_2 (+)
 ..., and `cone_map` the map of two such cones induced by a map of their
@@ -66,22 +65,15 @@ class ChainComplex:
         self.hi = hi
         self.dims = dims
         self.support = tuple((k, n) for k, n in zip(range(lo, hi + 1), dims) if n)
-        given = diffs or {}
-        self.diffs = {k: given[k] for k in sorted(given) if lo < k <= hi and given[k] is not None}
-        for k, m in self.diffs.items():
-            rows, cols = dims[k - 1 - lo], dims[k - lo]
-            if (m.rows, m.cols) != (rows, cols):
-                raise DimensionError(
-                    f"differential at degree {k} has shape {m.rows}x{m.cols}, "
-                    f"expected {rows}x{cols}"
-                )
+        self.diffs = _kept_blocks(diffs or {}, "differential at degree {}", lambda k: (
+            dims[k - 1 - lo], dims[k - lo]) if lo < k <= hi else None)
 
     @classmethod
     def _of(cls, lo: int, hi: int, dims: Tuple[int, ...],
             diffs: Dict[int, Matrix]) -> "ChainComplex":
         """Trusted constructor, as `Matrix._of`: dims a tuple of ints over
         [lo, hi], diffs by ascending degree inside (lo, hi], each of the
-        shape it has in the complex; nothing is checked."""
+        shape it has in the complex, none of empty shape; nothing is checked."""
         C = object.__new__(cls)
         C.lo, C.hi, C.dims, C.diffs = lo, hi, dims, diffs
         C.support = tuple((k, n) for k, n in zip(range(lo, hi + 1), dims) if n)
@@ -124,6 +116,24 @@ class ChainComplex:
         return f"ChainComplex([{self.lo},{self.hi}], dims={list(self.dims)})"
 
 
+def _kept_blocks(given: dict, what: str, shape) -> dict:
+    """The store rule of every graded object: the given blocks by ascending
+    key, except None, those outside the window (where shape(k) is None) and
+    those of empty shape.  A block not of shape(k) = (rows, cols) raises a
+    DimensionError that names it as what.format(k)."""
+    kept = {}
+    for k in sorted(given):
+        m = given[k]
+        if m is None or (expected := shape(k)) is None:
+            continue
+        if (m.rows, m.cols) != expected:
+            raise DimensionError(f"{what.format(k)} has shape {m.rows}x{m.cols}, "
+                                 f"expected {expected[0]}x{expected[1]}")
+        if m.rows and m.cols:
+            kept[k] = m
+    return kept
+
+
 def _same_blocks(a: Dict[int, Matrix], b: Dict[int, Matrix]) -> bool:
     """Whether two stores of blocks of the same shapes hold the same graded
     object: a block stored on one side only must be zero."""
@@ -156,34 +166,23 @@ def validate_complex(C: ChainComplex) -> List[str]:
 
 
 class _Graded:
-    """Degreewise matrices comps[k]: A_k -> B_{k + deg} between two complexes.
-
-    The shared body of ChainMap (deg 0) and ChainHomotopy (deg +1).  Only
-    the given components of a non-empty shape are stored.
-    """
+    """Degreewise matrices comps[k]: A_k -> B_{k + deg} between two complexes,
+    the shared body of ChainMap (deg 0) and ChainHomotopy (deg +1)."""
 
     __slots__ = ("source", "target", "comps")
     _deg = 0
-    _what = "chain map component"
+    _what = "chain map component at degree {}"
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  comps: Optional[Dict[int, Matrix]] = None):
         self.source = source
         self.target = target
-        deg = self._deg
-        lo, hi = min(source.lo, target.lo - deg), max(source.hi, target.hi - deg)
         self.comps = {}
-        for k, m in sorted((comps or {}).items()):
-            if m is None or not lo <= k <= hi:
-                continue
-            rows, cols = target.dim(k + deg), source.dim(k)
-            if (m.rows, m.cols) != (rows, cols):
-                raise DimensionError(
-                    f"{self._what} at degree {k} has shape {m.rows}x{m.cols}, "
-                    f"expected {rows}x{cols}"
-                )
-            if rows and cols:
-                self.comps[k] = m
+        if comps:  # most maps a lax composition builds are given no block
+            deg = self._deg
+            lo, hi = min(source.lo, target.lo - deg), max(source.hi, target.hi - deg)
+            self.comps = _kept_blocks(comps, self._what, lambda k: (
+                target.dim(k + deg), source.dim(k)) if lo <= k <= hi else None)
 
     def _comp(self, k: int) -> Matrix:
         """The component out of degree k, zero where none is stored."""
@@ -269,7 +268,7 @@ class ChainHomotopy(_Graded):
 
     __slots__ = ()
     _deg = 1
-    _what = "homotopy component"
+    _what = "homotopy component at degree {}"
     h = _Graded._comp
 
 
@@ -310,7 +309,7 @@ def euler_characteristic(C: ChainComplex) -> int:
 def shift(C: ChainComplex, m: int) -> ChainComplex:
     """C[m]_k = C_{k-m}; differential scaled by (-1)^m."""
     sign = -1 if m % 2 else 1
-    diffs = {k + m: d.scale(sign) for k, d in C.diffs.items() if d.rows and d.cols}
+    diffs = {k + m: d.scale(sign) for k, d in C.diffs.items()}
     return ChainComplex._of(C.lo + m, C.hi + m, C.dims, diffs)
 
 
@@ -369,7 +368,7 @@ def sum_cone(A: ChainComplex, legs: List[tuple]) -> ChainComplex:
     diffs = {}
     for k in list(dims)[1:]:
         if not (dims[k - 1] and dims[k]):
-            continue
+            continue  # legs are caller dicts, not stores, and may hold empty blocks
         blocks = [(0, 0, A.diffs[k - 1], -1, 1, 1)] if k - 1 in A.diffs else []
         r, c = A.dim(k - 2), A.dim(k - 1)
         for T, comps, sign in legs:
@@ -420,12 +419,10 @@ def direct_sum(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     dims = tuple(A.dim(k) + B.dim(k) for k in range(lo, hi + 1))
     diffs = {}
     for k in sorted(A.diffs.keys() | B.diffs):
-        rows, cols = dims[k - 1 - lo], dims[k - lo]
-        if rows and cols:
-            blocks = [(0, 0, A.diffs[k])] if k in A.diffs else []
-            if k in B.diffs:
-                blocks.append((A.dim(k - 1), A.dim(k), B.diffs[k]))
-            diffs[k] = Matrix.from_blocks(rows, cols, blocks)
+        blocks = [(0, 0, A.diffs[k])] if k in A.diffs else []
+        if k in B.diffs:
+            blocks.append((A.dim(k - 1), A.dim(k), B.diffs[k]))
+        diffs[k] = Matrix.from_blocks(dims[k - 1 - lo], dims[k - lo], blocks)
     return ChainComplex._of(lo, hi, dims, diffs)
 
 
@@ -596,6 +593,8 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
         sign = -1 if (n - 1) % 2 == 0 else 1  # -(-1)^{n-1}
         blocks = []
         for i, c0 in hom_offsets(A, B, n).items():
+            if not (A.dim(i) and B.dim(n + i)):
+                continue  # an empty summand places only empty blocks
             # d_B . f_i : block from summand i to summand i of degree n-1
             if i in tgt_off and n + i in B.diffs:
                 blocks.append((tgt_off[i], c0, B.diffs[n + i], 1, 1, A.dim(i)))
@@ -603,7 +602,7 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
             if i + 1 in tgt_off and i + 1 in A.diffs:
                 blocks.append((tgt_off[i + 1], c0, A.diffs[i + 1].transpose(), sign,
                                B.dim(n + i), 1))
-        if blocks and dims[n - 1 - lo] and dims[n - lo]:
+        if blocks:  # every placed block has a non-empty shape
             diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
     return ChainComplex._of(lo, hi, dims, diffs)
 

@@ -205,18 +205,12 @@ def cmd_dk_normalize(args):
 
 
 def cmd_dk_gamma(args):
-    from math import comb
-    from .doldkan import gamma
+    from .doldkan import gamma, gamma_dims
 
     def level_of(C):
         return args.level if args.level is not None else max(C.hi, 0)
 
-    def dims(C):
-        # dim Gamma(C)_n = sum_k C(n, k) dim C_k grows with n, so the top level is the largest
-        n = level_of(C)
-        return {n: sum(comb(n, k) * d for k, d in C.support)} if n >= 0 and C.lo >= 0 else {}
-
-    C, = _valid(args, "chain_complex", "file", dims=dims)
+    C, = _valid(args, "chain_complex", "file", dims=lambda C: gamma_dims(C, level_of(C)))
     return 0, gamma(C, level_of(C))
 
 

@@ -354,20 +354,20 @@ def _parse_chain_homotopy(d: dict, ctx: _Ctx, path: str) -> ChainHomotopy:
 # Key order does not matter: the writer sorts keys.
 
 
-def _components_json(block: Callable[[int], Matrix], degrees) -> dict:
-    """Each block(k) of a non-empty shape by degree k, zero where none is stored."""
-    return {str(k): m for k in degrees for m in (block(k),) if m.rows and m.cols}
+def _components_json(f) -> dict:
+    """A chain map's or homotopy's component out of each degree k of its
+    source window, where its shape is non-empty; zero where none is stored."""
+    return {str(k): f._comp(k) for k, _ in f.source.support if f.target.dim(k + f._deg)}
 
 
 def _chain_complex_json(C) -> dict:
-    diffs = _components_json(C.d, range(C.lo + 1, C.hi + 1))
+    diffs = {str(k): C.d(k) for k, _ in C.support if C.dim(k - 1)}
     return {"lo": C.lo, "hi": C.hi, "dims": C.dims, "differentials": diffs}
 
 
 def _chain_map_json(f) -> dict:
     """Chain maps and chain homotopies alike."""
-    return {"source": f.source, "target": f.target,
-            "components": _components_json(f._comp, f.source.degrees())}
+    return {"source": f.source, "target": f.target, "components": _components_json(f)}
 
 
 def _parse_matrix_document(d: dict, ctx: _Ctx, path: str) -> Matrix:

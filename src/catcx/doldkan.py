@@ -20,6 +20,7 @@ contributes the differential, with sign (+1)^0.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Dict, List, Tuple
 
 from .exactlin import DimensionError, Matrix
@@ -173,6 +174,13 @@ def _epi_mono(vals: Tuple[int, ...], k: int) -> Tuple[Tuple[int, ...], Tuple[int
     return tuple(image), surj
 
 
+def gamma_dims(C: ChainComplex, n: int) -> Dict[int, int]:
+    """Dimension of Gamma(C)_n, sum_k C(n, k) dim C_k, from the dimensions
+    alone, as {n: dim}; it grows with n, so level n of gamma(C, n) is its
+    largest.  Empty where gamma refuses (a negative level, or C.lo < 0)."""
+    return {n: sum(comb(n, k) * d for k, d in C.support)} if n >= 0 and C.lo >= 0 else {}
+
+
 def gamma(C: ChainComplex, N: int) -> SimplicialVS:
     """Levelwise sums of C over surjections, with standard structure maps."""
     if C.lo < 0:
@@ -208,7 +216,7 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
                 blk = C.diffs.get(k)
             else:
                 continue
-            if blk is None or blk.rows == 0:
+            if blk is None:
                 continue
             blocks.append((offsets[m][surj], offsets[n][eta], blk))
         return Matrix.from_blocks(dims[m], dims[n], blocks)

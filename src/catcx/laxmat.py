@@ -658,8 +658,7 @@ def _delta1_json(N) -> dict:
     return {"g_src": N.g_src, "g_tgt": N.g_tgt,
             "entries": {f"{t},{s}": N.entry(t, s)
                         for t in (0, 1) for s in (0, 1)},
-            "cells": {name: _components_json(c.f, c.source.degrees())
-                      for name, c in cells.items()}}
+            "cells": {name: _components_json(c) for name, c in cells.items()}}
 
 
 def _fin_poset_json(P) -> dict:

@@ -9,9 +9,10 @@ Koszul signs appear only at totalization,
 which is what makes the total differential square to zero; axis order for
 the signs is the stored axis order.  Axes are numbered 1..n.
 
-As in a chain complex, only the given differentials inside the box are
-stored, lex ordered per axis, and an absent one is zero; `d(j, a)` makes
-the zero matrix for callers that need one.
+Differentials are stored by the one rule of every graded object, applied
+per axis by `chain._kept_blocks`: the given ones inside the box and of
+non-empty shape, lex ordered.  An absent one is zero; `d(j, a)` makes the
+zero matrix for callers that need one.
 
 ChainCube is the separate carrier for a {0,1}^n cube whose vertices are
 chain complexes and whose edges (along axis i, from epsilon_i = 1 to 0)
@@ -25,7 +26,7 @@ from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
-from .chain import ChainComplex, ChainMap, cone_complex, cone_map
+from .chain import ChainComplex, ChainMap, _kept_blocks, cone_complex, cone_map
 from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_int, _as_list,
                         _check_dim, _components_json, _field, _int_keys, _parse_chain_complex,
                         _parse_components, _parse_matrix, _subset_key, _subset_keys,
@@ -54,18 +55,11 @@ class MultiComplex:
         for a in self.dims:
             if not self._in_box(a):
                 raise DimensionError(f"multidegree {a} outside the support box")
-        self.diffs: Dict[int, Dict[MultiDeg, Matrix]] = {}
-        for j in range(1, n + 1):
-            given = (diffs or {}).get(j, {})
-            self.diffs[j] = {a: given[a] for a in sorted(given) if given[a] is not None
-                             and self._in_box(a) and a[j - 1] > self.lo[j - 1]}
-            for a, m in self.diffs[j].items():
-                b = self._step(a, j)
-                if (m.rows, m.cols) != (self.dim(b), self.dim(a)):
-                    raise DimensionError(
-                        f"d_{j} at {a} has shape {m.rows}x{m.cols}, "
-                        f"expected {self.dim(b)}x{self.dim(a)}"
-                    )
+        self.diffs: Dict[int, Dict[MultiDeg, Matrix]] = {
+            j: _kept_blocks((diffs or {}).get(j, {}), f"d_{j} at {{}}", lambda a, j=j: (
+                self.dim(self._step(a, j)), self.dim(a))
+                if self._in_box(a) and a[j - 1] > self.lo[j - 1] else None)
+            for j in range(1, n + 1)}
 
     def _in_box(self, a: MultiDeg) -> bool:
         return len(a) == self.n and all(
@@ -139,7 +133,7 @@ def totalize(M: MultiComplex) -> ChainComplex:
             blocks.setdefault(sum(a), []).append(
                 (off[M._step(a, j)], off[a], m, -1 if sum(a[: j - 1]) % 2 else 1, 1, 1))
     diffs = {n: Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks[n])
-             for n in sorted(blocks) if dims[n - 1 - lo] and dims[n - lo]}
+             for n in sorted(blocks)}
     return ChainComplex._of(lo, hi, tuple(dims), diffs)
 
 
@@ -392,7 +386,6 @@ def _multicomplex_json(M) -> dict:
 def _chain_cube_json(Q) -> dict:
     edges = {}
     for i in range(1, Q.n + 1):
-        edges[str(i)] = {_subset_key(J): _components_json(e.f, e.source.degrees())
-                         for J, e in Q.edges[i].items()}
+        edges[str(i)] = {_subset_key(J): _components_json(e) for J, e in Q.edges[i].items()}
     return {"n": Q.n, "vertices": {_subset_key(J): v for J, v in Q.vertices.items()},
             "edges": edges}

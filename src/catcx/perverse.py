@@ -534,9 +534,9 @@ def _perv_cube_json(P) -> dict:
 
 def _sheaf_encoding_json(E) -> dict:
     return {"dual": E.dual, "stalks": E.stalks,
-            "maps": [_components_json(m.f, m.source.degrees()) for m in E.maps],
-            "monodromies": [_components_json(m.f, m.source.degrees()) for m in E.monodromies],
-            "homotopies": [_components_json(h.h, h.source.degrees()) for h in E.homotopies]}
+            "maps": [_components_json(m) for m in E.maps],
+            "monodromies": [_components_json(m) for m in E.monodromies],
+            "homotopies": [_components_json(h) for h in E.homotopies]}
 
 
 def _perv_disk_json(P) -> dict:

@@ -188,5 +188,5 @@ def test_constructors_build_no_zero_matrix(monkeypatch):
     M = MultiComplex(2, (0, 0), (1, 1), {(0, 0): 1, (1, 0): 1, (1, 1): 1},
                      {1: {(1, 0): Matrix(1, 1, [2])}, 2: {}})
     assert calls == []
-    assert list(C.diffs) == [1, 3] and list(M.diffs[1]) == [(1, 0)] and M.diffs[2] == {}
+    assert list(C.diffs) == [3] and list(M.diffs[1]) == [(1, 0)] and M.diffs[2] == {}
     assert C.d(0).rows == 1 and calls == [(1, 2)]
