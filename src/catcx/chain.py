@@ -349,7 +349,7 @@ def cone(f: ChainMap) -> Cone:
 
 def cone_complex(f: ChainMap) -> ChainComplex:
     """The complex of cone(f), without its structure maps."""
-    return sum_cone(f.source, [(f.target, f.comps, 1)])
+    return sum_cone([(f, 1)])
 
 
 def sum_cone_dims(A: ChainComplex, *Ts: ChainComplex) -> Dict[int, int]:
@@ -360,20 +360,21 @@ def sum_cone_dims(A: ChainComplex, *Ts: ChainComplex) -> Dict[int, int]:
     return {k: A.dim(k - 1) + sum(T.dim(k) for T in Ts) for k in range(lo, hi + 1)}
 
 
-def sum_cone(A: ChainComplex, legs: List[tuple]) -> ChainComplex:
-    """The complex of cone(A -> T_1 (+) T_2 (+) ...) for legs (T_i, the
-    components of f_i: A -> T_i, sign_i), the map being (sign_i f_i): degree
-    k is A_{k-1} (+) T_1,k (+) ..., and d = [[-d_A, 0], [-sign_i f_i, d_T_i]]."""
-    dims = sum_cone_dims(A, *(T for T, _, _ in legs))
+def sum_cone(legs: List[tuple]) -> ChainComplex:
+    """The complex of cone(A -> T_1 (+) T_2 (+) ...) for legs (f_i, sign_i),
+    chain maps f_i: A -> T_i sharing their source A, the map being
+    (sign_i f_i): degree k is A_{k-1} (+) T_1,k (+) ..., and
+    d = [[-d_A, 0], [-sign_i f_i, d_T_i]]."""
+    A = legs[0][0].source
+    dims = sum_cone_dims(A, *(f.target for f, _ in legs))
     diffs = {}
     for k in list(dims)[1:]:
-        if not (dims[k - 1] and dims[k]):
-            continue  # legs are caller dicts, not stores, and may hold empty blocks
         blocks = [(0, 0, A.diffs[k - 1], -1, 1, 1)] if k - 1 in A.diffs else []
         r, c = A.dim(k - 2), A.dim(k - 1)
-        for T, comps, sign in legs:
-            if k - 1 in comps:
-                blocks.append((r, 0, comps[k - 1], -sign, 1, 1))
+        for f, sign in legs:
+            T = f.target
+            if k - 1 in f.comps:
+                blocks.append((r, 0, f.comps[k - 1], -sign, 1, 1))
             if k in T.diffs:
                 blocks.append((r, c, T.diffs[k]))
             r, c = r + T.dim(k - 1), c + T.dim(k)

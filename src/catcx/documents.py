@@ -328,11 +328,12 @@ def _complex(d: dict, key: str, ctx: _Ctx, path: str) -> ChainComplex:
     return _parse_chain_complex(_field(d, key, path), ctx, f"{path}.{key}")
 
 
-def _parse_components(d, src: ChainComplex, tgt: ChainComplex, ctx: _Ctx,
-                      path: str, degree_shift: int = 0) -> Dict[int, Matrix]:
-    return {k: _parse_matrix(mat, ctx, f"{path}.{key}",
-                             rows=tgt.dim(k + degree_shift), cols=src.dim(k))
-            for k, key, mat in _int_keys(d, path, "degree")}
+def _parse_map(kind, d, src: ChainComplex, tgt: ChainComplex, ctx: _Ctx, path: str):
+    """The chain map or homotopy of class kind with the components by degree
+    in d, each A_k -> B_{k + kind._deg}: the reader of `_components_json`."""
+    return kind(src, tgt, {k: _parse_matrix(mat, ctx, f"{path}.{key}",
+                                            rows=tgt.dim(k + kind._deg), cols=src.dim(k))
+                           for k, key, mat in _int_keys(d, path, "degree")})
 
 
 def _parse_chain_map(d: dict, ctx: _Ctx, path: str, homotopy: bool = False):
@@ -340,9 +341,8 @@ def _parse_chain_map(d: dict, ctx: _Ctx, path: str, homotopy: bool = False):
     from .chain import ChainHomotopy, ChainMap
     src = _complex(d, "source", ctx, path)
     tgt = _complex(d, "target", ctx, path)
-    comps = _parse_components(d.get("components", {}), src, tgt, ctx, f"{path}.components",
-                              degree_shift=int(homotopy))
-    return (ChainHomotopy if homotopy else ChainMap)(src, tgt, comps)
+    return _parse_map(ChainHomotopy if homotopy else ChainMap, d.get("components", {}),
+                      src, tgt, ctx, f"{path}.components")
 
 
 def _parse_chain_homotopy(d: dict, ctx: _Ctx, path: str) -> ChainHomotopy:

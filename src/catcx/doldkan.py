@@ -6,15 +6,20 @@ presented by a projection P_n (rows: a basis of the annihilator of the
 degenerate subspace) and a section R_n with P_n R_n = id.
 
 gamma: the classical inverse.  Gamma(C)_n is a direct sum of copies of
-C_k, one per monotone surjection [n] ->> [k], ordered with the identity
+C_k, one per monotone surjection eta: [n] ->> [k], ordered with the identity
 surjection first (k descending, then lexicographic on the value tuple).
-Structure maps use epi-mono factorization in the simplex category; an
-injection acts by the identity when it is one, by the differential of C
-when it is the front coface t -> t+1 (the one missing 0), and by zero
-otherwise.  Functoriality of that rule is exactly d . d = 0.  With this
-convention normalize(gamma(C)) returns C itself, not just an isomorphic
-copy: the identity summand sits first, so P = [I 0] and only the 0th face
-contributes the differential, with sign (+1)^0.
+Each structure map has its own rule on the summand (k, eta).  The face d_i
+drops position i of eta: C_k maps by the identity when the value eta[i]
+still occurs, by d_k into the summand of the shortened eta minus 1 when
+eta[i] = 0 occurred only at i (the front coface t -> t+1 after a
+surjection), and by zero otherwise.  The degeneracy s_i repeats position i
+and maps by the identity.  These are the epi-mono rule of the simplex
+category for delta_i and sigma_i, which is functorial exactly because
+d . d = 0: the front coface applied twice misses 0 and 1, so acts by zero.
+With this convention normalize(gamma(C)) returns C itself, not just an
+isomorphic copy: the identity summand sits first and every other summand is
+degenerate, so P = [I 0]; on it every value occurs once and only d_0 misses
+0, so only the 0th face contributes the differential, with sign (+1)^0.
 """
 
 from __future__ import annotations
@@ -166,14 +171,6 @@ def _summands(n: int, top: int) -> List[Tuple[int, Tuple[int, ...]]]:
     return [(k, eta) for k in range(min(n, top), -1, -1) for eta in surjections(n, k)]
 
 
-def _epi_mono(vals: Tuple[int, ...], k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Factor a monotone map [m] -> [k] as injection . surjection."""
-    image = sorted(set(vals))
-    rank = {v: r for r, v in enumerate(image)}
-    surj = tuple(rank[v] for v in vals)
-    return tuple(image), surj
-
-
 def gamma_dims(C: ChainComplex, n: int) -> Dict[int, int]:
     """Dimension of Gamma(C)_n, sum_k C(n, k) dim C_k, from the dimensions
     alone, as {n: dim}; it grows with n, so level n of gamma(C, n) is its
@@ -200,41 +197,31 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
         offsets[n] = off
         dims.append(pos)
 
-    def structure_map(n: int, alpha: Tuple[int, ...]) -> Matrix:
-        # alpha: [m] -> [n] monotone, as its value tuple; result Gamma_n -> Gamma_m
-        m = len(alpha) - 1
-        blocks = []
-        for k, eta in summands[n]:
-            if C.dim(k) == 0:
-                continue
-            comp = tuple(eta[alpha[t]] for t in range(m + 1))
-            image, surj = _epi_mono(comp, k)
-            kk = len(image) - 1
-            if kk == k:
-                blk = Matrix.identity(C.dim(k))
-            elif kk == k - 1 and image == tuple(range(1, k + 1)):
-                blk = C.diffs.get(k)
-            else:
-                continue
-            if blk is None:
-                continue
-            blocks.append((offsets[m][surj], offsets[n][eta], blk))
-        return Matrix.from_blocks(dims[m], dims[n], blocks)
+    # only degrees k <= N carry a summand of Gamma_0..Gamma_N
+    ident = {k: Matrix.identity(d) for k, d in C.support if k <= N}
 
-    faces = {}
-    for n in range(1, N + 1):
-        ops = []
-        for i in range(n + 1):
-            delta = tuple(t if t < i else t + 1 for t in range(n))
-            ops.append(structure_map(n, delta))
-        faces[n] = tuple(ops)
-    degeneracies = {}
-    for n in range(N):
-        ops = []
-        for i in range(n + 1):
-            sigma = tuple(t if t <= i else t - 1 for t in range(n + 2))
-            ops.append(structure_map(n, sigma))
-        degeneracies[n] = tuple(ops)
+    def face(n: int, i: int) -> Matrix:
+        # eta . delta_i is eta without position i
+        to, blocks = offsets[n - 1], []
+        for k, eta in summands[n]:
+            if k not in ident:
+                continue
+            rest = eta[:i] + eta[i + 1:]
+            if eta[i] in rest:  # still onto [k]
+                blocks.append((to[rest], offsets[n][eta], ident[k]))
+            elif eta[i] == 0 and k in C.diffs:  # onto 1..k: the front coface
+                blocks.append((to[tuple(v - 1 for v in rest)], offsets[n][eta], C.diffs[k]))
+        return Matrix.from_blocks(dims[n - 1], dims[n], blocks)
+
+    def degeneracy(n: int, i: int) -> Matrix:
+        # eta . sigma_i is eta with position i repeated, still onto [k]
+        to = offsets[n + 1]
+        return Matrix.from_blocks(dims[n + 1], dims[n], [
+            (to[eta[:i + 1] + eta[i:]], offsets[n][eta], ident[k])
+            for k, eta in summands[n] if k in ident])
+
+    faces = {n: tuple(face(n, i) for i in range(n + 1)) for n in range(1, N + 1)}
+    degeneracies = {n: tuple(degeneracy(n, i) for i in range(n + 1)) for n in range(N)}
     return SimplicialVS(N, tuple(dims), faces, degeneracies)
 
 # -- document codecs (rows of documents._TYPES) ---------------------------------

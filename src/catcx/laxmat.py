@@ -48,7 +48,7 @@ from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_map,
                     tensor, tensor_dims, tensor_map, tensor_map_blocks, tensor_map_comps,
                     unit_complex, validate_complex, zero_complex)
 from .documents import (DocumentError, _Ctx, _as_dict, _as_int, _as_list, _check_dim,
-                        _complex, _components_json, _field, _parse_components, check_dims)
+                        _complex, _components_json, _field, _parse_map, check_dims)
 
 
 # -- finite posets and the K_0 shadow ----------------------------------------
@@ -217,7 +217,7 @@ class Pushout(Record):
 def hpushout(span: Span) -> Pushout:
     """cone((p, -q): apex -> B (+) C) with the canonical inclusions."""
     A, B, C = span.apex, span.left.target, span.right.target
-    P = sum_cone(A, [(B, span.left.comps, 1), (C, span.right.comps, -1)])
+    P = sum_cone([(span.left, 1), (span.right, -1)])
     fl = {k: inclusion(P.dim(k), A.dim(k - 1), n) for k, n in B.support}
     fr = {k: inclusion(P.dim(k), A.dim(k - 1) + B.dim(k), n) for k, n in C.support}
     return Pushout(span, P, ChainMap(B, P, fl), ChainMap(C, P, fr))
@@ -420,16 +420,18 @@ def unit_matrix(G: ChainComplex) -> Delta1ChainMatrix:
 
 
 def _entry_legs(N: Delta1ChainMatrix, M: Delta1ChainMatrix, u: int, s: int,
-                memo: TensorMemo) -> tuple:
-    """(apex, B, C, p, q) of the span B <-p- apex -q-> C whose pushout is entry
-    (u, s) of N . M, the legs p = cell_n (x) M_0s and q = (N_u1 (x) cell_m) .
-    assoc(N_u1, G, M_0s) as components by degree."""
+                memo: TensorMemo) -> Tuple[ChainMap, ChainMap]:
+    """The legs (p, q) of the span B <-p- apex -q-> C whose pushout is entry
+    (u, s) of N . M: p = cell_n (x) M_0s and q = (N_u1 (x) cell_m) .
+    assoc(N_u1, G, M_0s)."""
     G, n_u1, m_0s = N.g_src, N.entry(u, 1), M.entry(0, s)
     cell_n = N.cell_0f if u == 0 else N.cell_1f       # N_u1 (x) G -> N_u0
     cell_m = M.cell_f0 if s == 0 else M.cell_f1       # G (x) M_0s -> M_1s
-    return (memo.tensor(memo.tensor(n_u1, G), m_0s), memo.tensor(N.entry(u, 0), m_0s),
-            memo.tensor(n_u1, M.entry(1, s)), tensor_map_comps(cell_n, m_0s, memo),
-            tensor_map_comps(n_u1, cell_m, memo, _assoc_perm(n_u1, G, m_0s, memo)))
+    apex = memo.tensor(memo.tensor(n_u1, G), m_0s)
+    return (ChainMap(apex, memo.tensor(N.entry(u, 0), m_0s),
+                     tensor_map_comps(cell_n, m_0s, memo)),
+            ChainMap(apex, memo.tensor(n_u1, M.entry(1, s)),
+                     tensor_map_comps(n_u1, cell_m, memo, _assoc_perm(n_u1, G, m_0s, memo))))
 
 
 def compose_entry_span(N: Delta1ChainMatrix, M: Delta1ChainMatrix, u: int, s: int,
@@ -443,8 +445,7 @@ def compose_entry_span(N: Delta1ChainMatrix, M: Delta1ChainMatrix, u: int, s: in
         raise DimensionError("span legs must share their apex")
     if (M.cell_f0 if s == 0 else M.cell_f1).source != memo.tensor(G, M.entry(0, s)):
         raise DimensionError("chain map composition: middle complexes differ")
-    apex, B, C, p, q = _entry_legs(N, M, u, s, memo)
-    return Span(ChainMap(apex, B, p), ChainMap(apex, C, q))
+    return Span(*_entry_legs(N, M, u, s, memo))
 
 
 def _induced_cell(src: tuple, tgt: tuple, K: ChainComplex, side: str, on: list,
@@ -495,8 +496,8 @@ def lax_compose_delta1(N: Delta1ChainMatrix, M: Delta1ChainMatrix,
         if not _square_commutes(D, memo):
             raise DimensionError(f"span map: {side} square does not commute")
     legs = {(u, s): _entry_legs(N, M, u, s, memo) for u in (0, 1) for s in (0, 1)}
-    pushes = {key: (A, B, C, sum_cone(A, [(B, p, 1), (C, q, -1)]))
-              for key, (A, B, C, p, q) in legs.items()}
+    pushes = {key: (p.source, p.target, q.target, sum_cone([(p, 1), (q, -1)]))
+              for key, (p, q) in legs.items()}
     # psi: G_tgt (x) (N_01 (x) G) -> N_11 (x) G, shared by both vertical cells
     x0 = memo.tensor(N.entry(0, 1), G)
     psi = ChainMap(memo.tensor(H, x0), memo.tensor(N.entry(1, 1), G), tensor_map_comps(
@@ -646,8 +647,7 @@ def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
         if name not in cells_raw:
             raise DocumentError(f"missing cell {name!r}", f"{path}.cells")
         src, tgt = t(*pair), targets[name]
-        comps = _parse_components(cells_raw[name], src, tgt, ctx, f"{path}.cells.{name}")
-        cells[name] = ChainMap(src, tgt, comps)
+        cells[name] = _parse_map(ChainMap, cells_raw[name], src, tgt, ctx, f"{path}.cells.{name}")
     return Delta1ChainMatrix(g_src, g_tgt, entries,
                              cell_f0=cells["f0"], cell_0f=cells["0f"],
                              cell_f1=cells["f1"], cell_1f=cells["1f"])

@@ -29,7 +29,7 @@ from .exactlin import DimensionError, Matrix
 from .chain import ChainComplex, ChainMap, _kept_blocks, cone_complex, cone_map
 from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_int, _as_list,
                         _check_dim, _components_json, _field, _int_keys, _parse_chain_complex,
-                        _parse_components, _parse_matrix, _subset_key, _subset_keys,
+                        _parse_map, _parse_matrix, _subset_key, _subset_keys,
                         check_cube_size, cube_subsets)
 
 
@@ -340,7 +340,7 @@ def _parse_multicomplex(d: dict, ctx: _Ctx, path: str) -> MultiComplex:
         diffs[j] = {}
         for key, mat in _as_dict(table, f"{at}.{axkey}").items():
             a = _parse_deg(key, n, f"{at}.{axkey}")
-            b = tuple(x - (1 if t == j - 1 else 0) for t, x in enumerate(a))
+            b = MultiComplex._step(a, j)
             diffs[j][a] = _parse_matrix(mat, ctx, f"{at}.{axkey}.{key}",
                                         rows=probe.dim(b), cols=probe.dim(a))
     return MultiComplex(n, lo, hi, dims, diffs)
@@ -363,8 +363,7 @@ def _parse_chain_cube(d: dict, ctx: _Ctx, path: str) -> ChainCube:
             if J not in vertices or (J - {i}) not in vertices:
                 raise DocumentError(f"edge at {key!r} references missing vertices", at)
             src, tgt = vertices[J], vertices[J - {i}]
-            edges[i][J] = ChainMap(src, tgt,
-                                   _parse_components(comps, src, tgt, ctx, f"{at}.{key}"))
+            edges[i][J] = _parse_map(ChainMap, comps, src, tgt, ctx, f"{at}.{key}")
     try:
         return ChainCube(n, vertices, edges)
     except DimensionError as e:

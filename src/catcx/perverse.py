@@ -40,7 +40,7 @@ from .record import Record
 from .chain import ChainComplex, ChainMap, ChainHomotopy, homotopy_failures, validate_complex
 from .documents import (DocumentError, _Ctx, _as_int, _as_list, _check_dim,
                         _components_json, _dims, _field, _int_keys, _parse_chain_complex,
-                        _parse_components, _parse_matrix, _subset_key, _subset_keys,
+                        _parse_map, _parse_matrix, _subset_key, _subset_keys,
                         check_cube_size, cube_subsets)
 
 
@@ -515,12 +515,11 @@ def _parse_sheaf_encoding(d: dict, ctx: _Ctx, path: str) -> SheafEncoding:
             src, tgt = stalks[i + 1], stalks[i]
         else:
             src, tgt = stalks[i], stalks[i + 1]
-        maps.append(ChainMap(src, tgt, _parse_components(
-            maps_raw[i], src, tgt, ctx, f"{path}.maps[{i}]")))
-        monos.append(ChainMap(stalks[i + 1], stalks[i + 1], _parse_components(
-            mono_raw[i], stalks[i + 1], stalks[i + 1], ctx, f"{path}.monodromies[{i}]")))
-        homos.append(ChainHomotopy(src, tgt, _parse_components(
-            homo_raw[i], src, tgt, ctx, f"{path}.homotopies[{i}]", degree_shift=1)))
+        maps.append(_parse_map(ChainMap, maps_raw[i], src, tgt, ctx, f"{path}.maps[{i}]"))
+        monos.append(_parse_map(ChainMap, mono_raw[i], stalks[i + 1], stalks[i + 1], ctx,
+                                f"{path}.monodromies[{i}]"))
+        homos.append(_parse_map(ChainHomotopy, homo_raw[i], src, tgt, ctx,
+                                f"{path}.homotopies[{i}]"))
     return SheafEncoding(dual, stalks, maps, monos, homos)
 
 

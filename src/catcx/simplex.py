@@ -129,7 +129,7 @@ def _total(level1: CC2Level1) -> ChainComplex:
     ph = {k + 1: Matrix.from_blocks(cq.dim(k + 1), y01.dim(k),
                                     [(0, 0, p.f(k)), (y02.dim(k), 0, h.h(k))])
           for k in p.comps.keys() | h.comps.keys()}
-    T = sum_cone(shift(y01, 1), [(cq, ph, -1)])
+    T = sum_cone([(ChainMap(shift(y01, 1), cq, ph), -1)])
     if validate_complex(T):
         raise TotalizationError(
             "assembled differential does not square to zero; "

@@ -73,19 +73,20 @@ def test_sum_cone_stores_exactly_the_placed_blocks():
     for _ in range(80):
         A = random_complex(rng, max_len=4, max_dim=3)[0]
         A = ChainComplex(A.lo, A.hi, A.dims, sparse(rng, A.diffs))
+        A_full = explicit_complex(A)
         legs, full_legs = [], []
         for sign in (1, -1)[:rng.randint(1, 2)]:
             T = random_complex(rng, max_len=4, max_dim=3)[0]
             T = ChainComplex(T.lo, T.hi, T.dims, sparse(rng, T.diffs))
             comps = sparse(rng, {k: int_matrix(rng, T.dim(k), A.dim(k)) for k in A.degrees()
                                  if T.dim(k) and A.dim(k)})
-            legs.append((T, comps, sign))
+            legs.append((ChainMap(A, T, comps), sign))
             full = {k: comps.get(k, Matrix.zeros(T.dim(k), A.dim(k))) for k in A.degrees()}
-            full_legs.append((explicit_complex(T), full, sign))
-        got, want = sum_cone(A, legs), sum_cone(explicit_complex(A), full_legs)
+            full_legs.append((ChainMap(A_full, explicit_complex(T), full), sign))
+        got, want = sum_cone(legs), sum_cone(full_legs)
         placed = {k + 1 for k in A.diffs}
-        for T, comps, _ in legs:
-            placed |= {k + 1 for k in comps} | set(T.diffs)
+        for f, _ in legs:
+            placed |= {k + 1 for k in f.comps} | set(f.target.diffs)
         # a block placed where degree k - 1 or k is zero has an empty shape, and is not built
         assert set(got.diffs) == {k for k in placed if got.dim(k - 1) and got.dim(k)}
         seen_gap += len(got.diffs) < got.hi - got.lo

@@ -134,7 +134,7 @@ def test_cones_are_well_formed():
         assert C == ref.cone(f)[0]
         T = random_complex(rng, max_len=4, max_dim=3)[0]
         g = {k: int_matrix(rng, T.dim(k), A.dim(k)) for k in A.degrees() if rng.random() < 0.5}
-        assert_well_formed(sum_cone(A, [(B, f.comps, 1), (T, g, -1)]))
+        assert_well_formed(sum_cone([(f, 1), (ChainMap(A, T, g), -1)]))
 
 
 def hom_differential(A, B, n, f: Matrix) -> Matrix:

@@ -199,7 +199,7 @@ def test_constructions_on_given_empty_blocks_match_the_same_inputs_without_them(
                  if not (A.dim(k) and B.dim(k))}
         fe = ChainMap(A, B, {**given, **f.comps})
         assert list(fe.comps) == list(f.comps)
-        assert_same(sum_cone(A, [(B, fe.comps, 1)]), sum_cone(A0, [(B0, f.comps, 1)]))
+        assert_same(sum_cone([(fe, 1)]), sum_cone([(f, 1)]))
         (G, G0, eg) = twins(rng, lo_range=(0, 1))
         empty += eg
         N = rng.randint(0, 3)

@@ -10,8 +10,8 @@ child whose address space is capped.
 import json
 import random
 
-from catcx.chain import (ChainComplex, direct_sum, hom_complex, homology_dims, shift,
-                         sum_cone, tensor, validate_complex)
+from catcx.chain import (ChainComplex, ChainMap, direct_sum, hom_complex, homology_dims,
+                         shift, sum_cone, tensor, validate_complex)
 from catcx.documents import parse_document, serialize_document
 from catcx.exactlin import Matrix
 from catcx.multicplx import MultiComplex, totalize, validate_multicomplex
@@ -116,9 +116,10 @@ def test_constructions_agree_with_explicit_zero_blocks():
         m = rng.randint(-2, 2)
         assert same(shift(A, m), shift(A_full, m))
         f = random_chain_map(rng, A, B)
-        legs = [(B, f.comps, 1), (A, {k: Matrix.identity(A.dim(k)) for k in A.degrees()}, -1)]
-        full_legs = [(B_full, f.comps, 1), (A_full, legs[1][1], -1)]
-        assert same(sum_cone(A, legs), sum_cone(A_full, full_legs))
+        ident = {k: Matrix.identity(A.dim(k)) for k in A.degrees()}
+        legs = [(f, 1), (ChainMap(A, A, ident), -1)]
+        full_legs = [(ChainMap(A_full, B_full, f.comps), 1), (ChainMap(A_full, A_full, ident), -1)]
+        assert same(sum_cone(legs), sum_cone(full_legs))
     assert seen_absent > 20
 
 
