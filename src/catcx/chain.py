@@ -7,8 +7,10 @@ zero by fiat.  Sign conventions used throughout the package, pinned by tests:
   shift       C[m]_k = C_{k-m},  d^{C[m]} = (-1)^m d^C
   cone(f)_k   = A_{k-1} (+) B_k,  d = [[-d_A, 0], [-f, d_B]]
   tensor      d(a (x) b) = da (x) b + (-1)^{|a|} a (x) db
-  hom         Map(A,B)_n = (+)_i Hom(A_i, B_{n+i}),
+  dual        dual(A)_k = (A_{-k})^*,  d^{dual(A)}_{1-k} = (-1)^{k-1} d_k^T
+  hom         Map(A,B) = B (x) dual(A),  Map(A,B)_n = (+)_i Hom(A_i, B_{n+i}),
               d(f)_i = d_B . f_i - (-1)^{n-1} f_{i-1} . d_A   for f in degree n
+  sum         A (+) B = cone(0 -> A (+) B), from an empty complex below both
   homotopy    check_homotopy(f, g, h) tests  g_k - f_k = d_{k+1} h_k + h_{k-1} d_k
 
 In tensor degrees, the summand A_i (x) B_{n-i} blocks are ordered by
@@ -23,16 +25,17 @@ make the zero matrix for callers that need one.  Constructions keep the rule
 without checking it: a stored block has a non-empty shape, and so has every
 block built from stored ones, and each construction stores a degree only
 where it places a block, so a cone of mostly-zero inputs holds no zero
-matrix.  A complex the library sizes itself (`tensor`, `sum_cone`,
-`hom_complex`, `shift`, `direct_sum`, `multicplx.totalize`) is made by the
-trusted `ChainComplex._of`, as `Matrix._of` makes matrices:
-`Matrix.from_blocks` has already checked that every block fits, so its
-shapes are not checked again.  `ChainComplex(...)` stays the one checked
-entry, for parsed and caller data.
+matrix.  A complex the library sizes itself (`tensor`, `sum_cone`, `dual`,
+`shift`, `multicplx.totalize`) is made by the trusted `ChainComplex._of`, as
+`Matrix._of` makes matrices: `Matrix.from_blocks` has already checked that
+every block fits, so its shapes are not checked again.  `ChainComplex(...)`
+stays the one checked entry, for parsed and caller data.
 
-Cones are built one way: `sum_cone` builds the cone of A -> T_1 (+) T_2 (+)
-..., and `cone_map` the map of two such cones induced by a map of their
-diagrams.  Every cone-shaped construction in the package (mapping cones,
+Two loops assemble a complex from blocks, `tensor` and `sum_cone`, and
+`hom` and `sum` above are built by them.  Cones are built one way:
+`sum_cone` builds the cone of A -> T_1 (+) T_2 (+) ..., and `cone_map` the
+map of two such cones induced by a map of their diagrams.  Every
+cone-shaped construction in the package (mapping cones, direct sums,
 homotopy pushouts, cube collapses, the twisted totalization of `simplex`)
 is built from these two.  A `Cone` builds its two structure maps only when
 they are read: `catcx cone` writes the complex alone, and `cof` only the
@@ -415,16 +418,10 @@ def is_quasi_iso(f: ChainMap) -> bool:
 
 
 def direct_sum(A: ChainComplex, B: ChainComplex) -> ChainComplex:
-    lo = min(A.lo, B.lo)
-    hi = max(A.hi, B.hi)
-    dims = tuple(A.dim(k) + B.dim(k) for k in range(lo, hi + 1))
-    diffs = {}
-    for k in sorted(A.diffs.keys() | B.diffs):
-        blocks = [(0, 0, A.diffs[k])] if k in A.diffs else []
-        if k in B.diffs:
-            blocks.append((A.dim(k - 1), A.dim(k), B.diffs[k]))
-        diffs[k] = Matrix.from_blocks(dims[k - 1 - lo], dims[k - lo], blocks)
-    return ChainComplex._of(lo, hi, dims, diffs)
+    """A (+) B, as the cone of the zero map into A and B from an empty
+    complex one degree below both windows."""
+    Z = single(min(A.lo, B.lo) - 1, 0)
+    return sum_cone([(zero_map(Z, A), 1), (zero_map(Z, B), 1)])
 
 
 def sum_inclusions(A: ChainComplex, B: ChainComplex) -> Tuple[ChainMap, ChainMap]:
@@ -570,42 +567,30 @@ def hom_offsets(A: ChainComplex, B: ChainComplex, n: int) -> Dict[int, int]:
     return off
 
 
+def dual(A: ChainComplex) -> ChainComplex:
+    """The dual complex: dual(A)_k = (A_{-k})^*, its differential out of
+    degree 1 - k the transpose of d_k signed (-1)^{k-1}."""
+    diffs = {}
+    for k in reversed(A.diffs):
+        t = A.diffs[k].transpose()
+        diffs[1 - k] = -t if k % 2 == 0 else t
+    return ChainComplex._of(-A.hi, -A.lo, A.dims[::-1], diffs)
+
+
 def hom_dims(A: ChainComplex, B: ChainComplex) -> Dict[int, int]:
     """Dimension of Map(A, B)_n by degree n, from the dimensions alone."""
-    return {n: sum(A.dim(i) * B.dim(n + i) for i in hom_offsets(A, B, n))
-            for n in range(B.lo - A.hi, B.hi - A.lo + 1)}
+    return tensor_dims(B, ChainComplex._of(-A.hi, -A.lo, A.dims[::-1], {}))
 
 
 def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
-    """Map(A,B)_n = (+)_i Hom(A_i, B_{n+i}).
+    """Map(A,B)_n = (+)_i Hom(A_i, B_{n+i}), built as B (x) dual(A).
 
     For f of degree n the differential is d(f)_i = d_B . f_i - (-1)^{n-1}
-    f_{i-1} . d_A; the degree-dependent sign is exactly what makes d.d = 0.
-    A matrix F in Hom(A_i, B_{n+i}) is flattened row-major.
+    f_{i-1} . d_A: the tensor sign (-1)^{n+i} times the dual's (-1)^i.
+    A matrix F in Hom(A_i, B_{n+i}) is flattened row-major, which is the
+    Kronecker order of B_{n+i} (x) A_i^*.
     """
-    lo = B.lo - A.hi
-    hi = B.hi - A.lo
-    if hi < lo:
-        return zero_complex()
-    dims = tuple(hom_dims(A, B).values())
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        tgt_off = hom_offsets(A, B, n - 1)
-        sign = -1 if (n - 1) % 2 == 0 else 1  # -(-1)^{n-1}
-        blocks = []
-        for i, c0 in hom_offsets(A, B, n).items():
-            if not (A.dim(i) and B.dim(n + i)):
-                continue  # an empty summand places only empty blocks
-            # d_B . f_i : block from summand i to summand i of degree n-1
-            if i in tgt_off and n + i in B.diffs:
-                blocks.append((tgt_off[i], c0, B.diffs[n + i], 1, 1, A.dim(i)))
-            # f_i . d_A : Hom(A_i, B_{n+i}) -> Hom(A_{i+1}, B_{n+i})
-            if i + 1 in tgt_off and i + 1 in A.diffs:
-                blocks.append((tgt_off[i + 1], c0, A.diffs[i + 1].transpose(), sign,
-                               B.dim(n + i), 1))
-        if blocks:  # every placed block has a non-empty shape
-            diffs[n] = Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks)
-    return ChainComplex._of(lo, hi, dims, diffs)
+    return tensor(B, dual(A))
 
 
 def hom_element(A: ChainComplex, B: ChainComplex, n: int,

@@ -327,7 +327,7 @@ class Matrix:
         '"p/q"' as `rat_str` spells them, joined by sep."""
         e, c, d = self._e, self.cols, self._d
         if d != 1:
-            cells = ['"' + _entry_str(x, d) + '"' for x in e]
+            cells = ['"' + _entry_str(x, d) + '"' if x else '"0"' for x in e]
         else:
             try:
                 cells = [_QUOTED[x] for x in e]
