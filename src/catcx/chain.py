@@ -13,9 +13,14 @@ zero by fiat.  Sign conventions used throughout the package, pinned by tests:
   sum         A (+) B = cone(0 -> A (+) B), from an empty complex below both
   homotopy    check_homotopy(f, g, h) tests  g_k - f_k = d_{k+1} h_k + h_{k-1} d_k
 
-In tensor degrees, the summand A_i (x) B_{n-i} blocks are ordered by
-increasing i, and within a summand basis pairs (p, q) are ordered with p
-outermost (Kronecker order).
+One rule, `layout`, places the summands of every graded direct sum:
+listed as (key, degree, dimension) in placement order, each summand of
+nonzero dimension starts where those before it in its degree end.  Its
+users are `tensor` (by `block_table`: A_i (x) B_{n-i} by increasing i,
+basis pairs (p, q) with p outermost, Kronecker order), `hom_element`
+(B_{n+i} (x) dual(A)_{-i}, as `tensor(B, dual(A))` places them),
+`multicplx.totalize` (multidegrees in lex order) and `doldkan.gamma`
+(surjections, identity first).  Cones keep their own running sums.
 
 Every graded object (complex, chain map, homotopy, `multicplx.MultiComplex`)
 stores its blocks by one rule, which `_kept_blocks` alone applies: of the
@@ -441,19 +446,26 @@ def projection(n: int, at: int, size: int) -> Matrix:
     return Matrix.monomial(size, [-1] * at + list(range(size)) + [-1] * (n - at - size))
 
 
-# -- tensor product -----------------------------------------------------------
+# -- layout and tensor product ------------------------------------------------
+
+def layout(summands) -> Tuple[Dict[int, int], dict]:
+    """The placement rule of every graded direct sum: for (key, degree,
+    dimension) triples in placement order, the dimension by degree, nonzero
+    ones only, and where each summand of nonzero dimension starts inside
+    its degree, by key."""
+    dim, off = {}, {}
+    for key, n, size in summands:
+        if size:
+            off[key] = at = dim.get(n, 0)
+            dim[n] = at + size
+    return dim, off
+
 
 def block_table(As: Tuple[Tuple[int, int], ...], Bs: Tuple[Tuple[int, int], ...]
                 ) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int]]:
     """For supports As, Bs (ascending (degree, dimension) pairs): the
-    dimension of (A (x) B)_n by degree n, nonzero ones only, and where each
-    block A_i (x) B_j starts inside degree i + j, by (i, j)."""
-    dim, off = {}, {}
-    for i, a in As:
-        for j, b in Bs:
-            off[i, j] = at = dim.get(i + j, 0)
-            dim[i + j] = at + a * b
-    return dim, off
+    `layout` of A (x) B, its blocks A_i (x) B_j keyed (i, j) by increasing i."""
+    return layout([((i, j), i + j, a * b) for i, a in As for j, b in Bs])
 
 
 def tensor_dims(*factors: ChainComplex) -> Dict[int, int]:
@@ -559,14 +571,6 @@ def tensor_map(f, g, memo: Optional[TensorMemo] = None) -> ChainMap:
 
 # -- mapping complex ----------------------------------------------------------
 
-def hom_offsets(A: ChainComplex, B: ChainComplex, n: int) -> Dict[int, int]:
-    """Where each block Hom(A_i, B_{n+i}) of Map(A,B)_n starts, by i ascending."""
-    off, pos = {}, 0
-    for i in range(max(A.lo, B.lo - n), min(A.hi, B.hi - n) + 1):
-        off[i], pos = pos, pos + A.dim(i) * B.dim(n + i)
-    return off
-
-
 def dual(A: ChainComplex) -> ChainComplex:
     """The dual complex: dual(A)_k = (A_{-k})^*, its differential out of
     degree 1 - k the transpose of d_k signed (-1)^{k-1}."""
@@ -595,27 +599,29 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
 
 def hom_element(A: ChainComplex, B: ChainComplex, n: int,
                 comps: Dict[int, Matrix]) -> Matrix:
-    """Flatten {f_i: A_i -> B_{n+i}} into a coordinate column of Map(A,B)_n."""
-    off = hom_offsets(A, B, n)
-    total = sum(A.dim(i) * B.dim(n + i) for i in off)
+    """Flatten {f_i: A_i -> B_{n+i}} into a coordinate column of Map(A,B)_n,
+    each f_i where `tensor(B, dual(A))` places B_{n+i} (x) dual(A)_{-i}; a
+    component at an empty summand or outside the window is ignored."""
+    dim, off = block_table(B.support, tuple((-i, a) for i, a in reversed(A.support)))
     blocks = []
-    for i, pos in off.items():
-        m = comps.get(i)
-        if m is None:
+    for i in sorted(comps):
+        pos, m = off.get((n + i, -i)), comps[i]
+        if pos is None or m is None:
             continue
         if (m.rows, m.cols) != (B.dim(n + i), A.dim(i)):
             raise DimensionError(f"hom element component {i} has wrong shape")
         # m flattened row-major into one column
         blocks.append((pos, 0, Matrix._of(m.rows * m.cols, 1, m._e, m._d)))
-    return Matrix.from_blocks(total, 1, blocks)
+    return Matrix.from_blocks(dim.get(n, 0), 1, blocks)
 
 
 def hom_element_components(A: ChainComplex, B: ChainComplex, n: int,
                            v: Matrix) -> Dict[int, Matrix]:
-    """Inverse of hom_element: unflatten a coordinate column."""
-    off = hom_offsets(A, B, n)
+    """Inverse of hom_element: unflatten a coordinate column, one block per nonzero summand."""
+    off = block_table(B.support, tuple((-i, a) for i, a in reversed(A.support)))[1]
     out = {}
-    for i, pos in off.items():
-        rows, cols = B.dim(n + i), A.dim(i)
-        out[i] = Matrix._of(rows, cols, v._e[pos:pos + rows * cols], v._d)
+    for (j, k), pos in off.items():
+        if j + k == n:  # the summand of Hom(A_{-k}, B_j)
+            rows, cols = B.dim(j), A.dim(-k)
+            out[-k] = Matrix._of(rows, cols, v._e[pos:pos + rows * cols], v._d)
     return out

@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
-from .chain import ChainComplex
+from .chain import ChainComplex, layout
 from .documents import (DocumentError, _Ctx, _as_int, _as_list, _dims, _field,
                         _int_keys, _parse_matrix)
 
@@ -186,43 +186,35 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
         raise DimensionError("truncation level must be nonnegative")
     # a summand over k > C.hi is zero: listing them would cost 2^n at level n
     summands = {n: _summands(n, C.hi) for n in range(N + 1)}
-    offsets = {}
-    dims = []
-    for n in range(N + 1):
-        off = {}
-        pos = 0
-        for k, eta in summands[n]:
-            off[eta] = pos
-            pos += C.dim(k)
-        offsets[n] = off
-        dims.append(pos)
+    # a surjection's length is its level + 1, so one key names one summand
+    dim, off = layout([(eta, n, C.dim(k)) for n in range(N + 1) for k, eta in summands[n]])
+    dims = tuple(dim.get(n, 0) for n in range(N + 1))
 
     # only degrees k <= N carry a summand of Gamma_0..Gamma_N
     ident = {k: Matrix.identity(d) for k, d in C.support if k <= N}
 
     def face(n: int, i: int) -> Matrix:
         # eta . delta_i is eta without position i
-        to, blocks = offsets[n - 1], []
+        blocks = []
         for k, eta in summands[n]:
             if k not in ident:
                 continue
             rest = eta[:i] + eta[i + 1:]
             if eta[i] in rest:  # still onto [k]
-                blocks.append((to[rest], offsets[n][eta], ident[k]))
+                blocks.append((off[rest], off[eta], ident[k]))
             elif eta[i] == 0 and k in C.diffs:  # onto 1..k: the front coface
-                blocks.append((to[tuple(v - 1 for v in rest)], offsets[n][eta], C.diffs[k]))
+                blocks.append((off[tuple(v - 1 for v in rest)], off[eta], C.diffs[k]))
         return Matrix.from_blocks(dims[n - 1], dims[n], blocks)
 
     def degeneracy(n: int, i: int) -> Matrix:
         # eta . sigma_i is eta with position i repeated, still onto [k]
-        to = offsets[n + 1]
         return Matrix.from_blocks(dims[n + 1], dims[n], [
-            (to[eta[:i + 1] + eta[i:]], offsets[n][eta], ident[k])
+            (off[eta[:i + 1] + eta[i:]], off[eta], ident[k])
             for k, eta in summands[n] if k in ident])
 
     faces = {n: tuple(face(n, i) for i in range(n + 1)) for n in range(1, N + 1)}
     degeneracies = {n: tuple(degeneracy(n, i) for i in range(n + 1)) for n in range(N)}
-    return SimplicialVS(N, tuple(dims), faces, degeneracies)
+    return SimplicialVS(N, dims, faces, degeneracies)
 
 # -- document codecs (rows of documents._TYPES) ---------------------------------
 

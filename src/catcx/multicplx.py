@@ -26,7 +26,7 @@ from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
-from .chain import ChainComplex, ChainMap, _kept_blocks, cone_complex, cone_map
+from .chain import ChainComplex, ChainMap, _kept_blocks, cone_complex, cone_map, layout
 from .documents import (MAX_DIM_ENV, DocumentError, _Ctx, _as_dict, _as_int, _as_list,
                         _check_dim, _components_json, _field, _int_keys, _parse_chain_complex,
                         _parse_map, _parse_matrix, _subset_key, _subset_keys,
@@ -105,36 +105,31 @@ def validate_multicomplex(M: MultiComplex) -> List[str]:
     return report
 
 
-def _summands(M: MultiComplex) -> Tuple[List[int], Dict[MultiDeg, int]]:
-    """dim tot_n by n - sum(lo), and where each multidegree's summand starts
-    in its degree: one pass over the box in lex order."""
-    lo = sum(M.lo)
-    dims = [0] * (sum(M.hi) - lo + 1)
-    off: Dict[MultiDeg, int] = {}
-    for a in M.multidegrees():
-        t = sum(a) - lo
-        off[a], dims[t] = dims[t], dims[t] + M.dim(a)
-    return dims, off
+def _summands(M: MultiComplex) -> Tuple[Dict[int, int], Dict[MultiDeg, int]]:
+    """The `layout` of tot(M): the declared multidegrees in lex order, each
+    in degree sum(a)."""
+    return layout([(a, sum(a), d) for a, d in sorted(M.dims.items())])
 
 
 def totalize_dims(M: MultiComplex) -> Dict[int, int]:
     """Dimension of tot_n by degree n, from the dimensions alone."""
-    return dict(enumerate(_summands(M)[0], sum(M.lo)))
+    dim = _summands(M)[0]
+    return {n: dim.get(n, 0) for n in range(sum(M.lo), sum(M.hi) + 1)}
 
 
 def totalize(M: MultiComplex) -> ChainComplex:
     """Summands of tot_n are the multidegrees with sum n, in ascending lex
     order; d_j out of a carries the sign (-1)^(a_1 + ... + a_{j-1})."""
     lo, hi = sum(M.lo), sum(M.hi)
-    dims, off = _summands(M)
+    dim, off = _summands(M)
     blocks: Dict[int, list] = {}
     for j, table in M.diffs.items():
         for a, m in table.items():
             blocks.setdefault(sum(a), []).append(
                 (off[M._step(a, j)], off[a], m, -1 if sum(a[: j - 1]) % 2 else 1, 1, 1))
-    diffs = {n: Matrix.from_blocks(dims[n - 1 - lo], dims[n - lo], blocks[n])
-             for n in sorted(blocks)}
-    return ChainComplex._of(lo, hi, tuple(dims), diffs)
+    # a stored block has a non-empty shape, so both its summands have an offset
+    diffs = {n: Matrix.from_blocks(dim[n - 1], dim[n], blocks[n]) for n in sorted(blocks)}
+    return ChainComplex._of(lo, hi, tuple(dim.get(n, 0) for n in range(lo, hi + 1)), diffs)
 
 
 def permute_axes(M: MultiComplex, perm: Sequence[int]) -> MultiComplex:

@@ -5,10 +5,11 @@ components degree by degree skips a degree whose rows or columns are 0
 (or where it places nothing) before it builds anything, so no
 `Matrix.from_blocks` call of a lax composition, of `cc2` or of the golden
 `lax-compose` call makes an empty matrix.  The complexes the library sizes
-itself (`tensor`, `sum_cone`, `hom_complex`, `shift`, `direct_sum`,
-`totalize`) come from the trusted `ChainComplex._of`, and each equals the
-same data passed through the checked constructor.  Equality reads a block
-stored on one side only with `is_zero`, so it builds no zero matrix.
+itself (`tensor`, `sum_cone`, `dual`, `shift`, `totalize`, and so
+`hom_complex` and `direct_sum`, built by `tensor` and `sum_cone`) come
+from the trusted `ChainComplex._of`, and each equals the same data passed
+through the checked constructor.  Equality reads a block stored on one
+side only with `is_zero`, so it builds no zero matrix.
 """
 
 import json
