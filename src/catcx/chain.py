@@ -478,10 +478,12 @@ def tensor_dims(*factors: ChainComplex) -> Dict[int, int]:
     return {n: dim.get(n, 0) for n in range(lo, hi + 1)}
 
 
-def tensor(A: ChainComplex, B: ChainComplex) -> ChainComplex:
+def tensor(A: ChainComplex, B: ChainComplex, table: Optional[tuple] = None) -> ChainComplex:
+    """A (x) B, placed by `block_table(A.support, B.support)`, or by that
+    table when the caller already holds it."""
     lo = A.lo + B.lo
     hi = A.hi + B.hi
-    dim, off = block_table(A.support, B.support)
+    dim, off = block_table(A.support, B.support) if table is None else table
     # d(a (x) b) = da (x) b + (-1)^i a (x) db, blockwise da (x) 1 and +-1 (x) db
     blocks = {}
     for (i, j), c0 in off.items():
@@ -497,26 +499,33 @@ def tensor(A: ChainComplex, B: ChainComplex) -> ChainComplex:
 
 
 class TensorMemo:
-    """Tensor products, each built once per pair of operands, and block
-    tables, each computed once per pair of supports.
+    """The one cache of a computation: tensor products and the blocks of
+    tensor-product maps, each built once per pair of operands, and block
+    tables and index maps (`laxmat`'s associators and interchanges), each
+    built once per key.
 
     Operands are keyed on object identity, which is sound only while they
-    are alive and unchanged, so the memo holds a reference to each.  Make
-    one per computation, pass it along explicitly, and let it go with the
-    computation; nothing is memoised at module level.
+    are alive and unchanged, so the memo holds a reference to each.  Tables
+    and index maps are keyed on windows and supports alone, since they
+    depend on nothing else, so a key never stands in for a check of
+    values.  What the memo returns is shared between its callers, who only
+    read it.  Make one per computation, pass it along explicitly, and let
+    it go with the computation; nothing is memoised at module level.
     """
 
-    __slots__ = ("_tensors", "_tables")
+    __slots__ = ("_tensors", "_tables", "_blocks", "_maps")
 
     def __init__(self):
         self._tensors = {}
         self._tables = {}
+        self._blocks = {}
+        self._maps = {}
 
     def tensor(self, A: ChainComplex, B: ChainComplex) -> ChainComplex:
         key = (id(A), id(B))
         hit = self._tensors.get(key)
         if hit is None:
-            hit = self._tensors[key] = (A, B, tensor(A, B))
+            hit = self._tensors[key] = (A, B, tensor(A, B, self.table(A.support, B.support)))
         return hit[2]
 
     def table(self, As: tuple, Bs: tuple) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int]]:
@@ -526,13 +535,30 @@ class TensorMemo:
             hit = self._tables[As, Bs] = block_table(As, Bs)
         return hit
 
+    def index_map(self, key: tuple, build):
+        """build(), called once per memo and key; the key names everything
+        the result depends on."""
+        hit = self._maps.get(key)
+        if hit is None:
+            hit = self._maps[key] = build()
+        return hit
+
 
 def tensor_map_blocks(f, g, memo: TensorMemo) -> Dict[int, Tuple[int, int, list]]:
     """(rows, cols, blocks) of (f (x) g)_n for `Matrix.from_blocks`, by
-    degree n over its source's and target's windows.  Either factor may be
-    a complex, standing for its identity; its blocks are then Kronecker
-    products with an identity, which are placed without being formed.  An
-    absent component places no block."""
+    degree n over its source's and target's windows, built once per memo
+    and pair of operands.  Either factor may be a complex, standing for its
+    identity; its blocks are then Kronecker products with an identity,
+    which are placed without being formed.  An absent component places no
+    block."""
+    key = (id(f), id(g))
+    hit = memo._blocks.get(key)
+    if hit is None:
+        hit = memo._blocks[key] = (f, g, _map_blocks(f, g, memo))
+    return hit[2]
+
+
+def _map_blocks(f, g, memo: TensorMemo) -> Dict[int, Tuple[int, int, list]]:
     (A, C), (B, D) = _endpoints(f), _endpoints(g)
     cols, src_off = memo.table(A.support, B.support)
     rows, tgt_off = memo.table(C.support, D.support)

@@ -31,9 +31,15 @@ The associator, its inverse and the interchanges are index maps
 target basis vector cols[j] (signs None when all +1); only the public
 functions build them densely.  A composition composes them as int lists
 and writes each span leg and cell component in one `Matrix.from_blocks`
-pass, straight from the input cells' entries.  It builds each tensor
-product once, in a `TensorMemo` that lives for that call only, and never
-builds the tensored spans or their pushouts.
+pass, straight from the input cells' entries.  It never builds the
+tensored spans or their pushouts, and builds everything else once, in a
+`TensorMemo` that lives for that call only: tensor products and the blocks
+of tensor-product maps once per pair of operands (keyed on identity),
+block tables and index maps once per key of windows and supports (the
+associator's also on its direction, the interchange's on its side).  The
+cached index data is shared by every request for its key, so it is only
+read.  A key stands in for no check: cells and squares are compared by
+value on every call.
 """
 
 from __future__ import annotations
@@ -242,9 +248,21 @@ def _dense(S: ChainComplex, T: ChainComplex, perm: IndexMap) -> ChainMap:
     return ChainMap(S, T, {n: Matrix.monomial(T.dim(n), *p) for n, p in perm.items() if p[0]})
 
 
+def _shape(X: ChainComplex) -> tuple:
+    """What an index map needs of X: its window and support."""
+    return X.lo, X.hi, X.support
+
+
 def _assoc_perm(X: ChainComplex, Y: ChainComplex, Z: ChainComplex, memo: TensorMemo,
                 inverse: bool = False) -> IndexMap:
-    """The associator's index map, or its inverse's, from the dimensions alone."""
+    """The associator's index map, or its inverse's, from the dimensions
+    alone; built once per memo, shapes and direction, and shared."""
+    return memo.index_map(("assoc", _shape(X), _shape(Y), _shape(Z), inverse),
+                          lambda: _assoc_cols(X, Y, Z, memo, inverse))
+
+
+def _assoc_cols(X: ChainComplex, Y: ChainComplex, Z: ChainComplex, memo: TensorMemo,
+                inverse: bool) -> IndexMap:
     xs, ys, zs = X.support, Y.support, Z.support
     xy_dim, xy_off = memo.table(xs, ys)
     yz_dim, yz_off = memo.table(ys, zs)
@@ -291,9 +309,16 @@ def _interchange(parts: Tuple[ChainComplex, ...], P: ChainComplex, K: ChainCompl
     """K (x) P and the index map of its iso to hpushout(K (x) S), for P the
     pushout of a span S with apex, left and right targets `parts` (side
     "left"; side "right" tensors K on the right).  Only dimensions are
-    needed, so the tensored span and its pushout are not built."""
+    needed, so the tensored span and its pushout are not built, and the
+    index map is built once per memo, shapes and side, and shared."""
+    key = ("interchange", side, _shape(K), _shape(P), *map(_shape, parts))
+    return (memo.tensor(*_pair(side)(K, P)),
+            memo.index_map(key, lambda: _interchange_cols(parts, P, K, side, memo)))
+
+
+def _interchange_cols(parts: Tuple[ChainComplex, ...], P: ChainComplex, K: ChainComplex,
+                      side: str, memo: TensorMemo) -> IndexMap:
     pair, left = _pair(side), side == "left"
-    S = memo.tensor(*pair(K, P))
     # hpushout(K (x) S)_n = (K (x) A)_{n-1} (+) (K (x) B)_n (+) (K (x) C)_n
     tables = [(X, lag, *memo.table(*pair(K.support, X.support)))
               for X, lag in zip(parts, (1, 0, 0))]
@@ -317,8 +342,8 @@ def _interchange(parts: Tuple[ChainComplex, ...], P: ChainComplex, K: ChainCompl
                         signs[n][s:s + ln] = [-1] * ln
             start += dx
             pos += dim.get(n - lag, 0)
-    return S, {n: (cols.get(n, []), signs[n] if -1 in signs.get(n, ()) else None)
-               for n in range(S.lo, S.hi + 1)}
+    return {n: (cols.get(n, []), signs[n] if -1 in signs.get(n, ()) else None)
+            for n in range(K.lo + P.lo, K.hi + P.hi + 1)}
 
 
 def tensor_cone(push: Pushout, K: ChainComplex, side: str) -> Tuple[Pushout, ChainMap]:
