@@ -39,12 +39,14 @@ stays the one checked entry, for parsed and caller data.
 Two loops assemble a complex from blocks, `tensor` and `sum_cone`, and
 `hom` and `sum` above are built by them.  Cones are built one way:
 `sum_cone` builds the cone of A -> T_1 (+) T_2 (+) ..., and `cone_map` the
-map of two such cones induced by a map of their diagrams.  Every
-cone-shaped construction in the package (mapping cones, direct sums,
-homotopy pushouts, cube collapses, the twisted totalization of `simplex`)
-is built from these two.  A `Cone` builds its two structure maps only when
-they are read: `catcx cone` writes the complex alone, and `cof` only the
-map from the target.
+map of two such cones induced by a map of their diagrams.  The
+cone-shaped complexes of the package (mapping cones, direct sums, homotopy
+pushouts, cube collapses, the twisted totalization of `simplex`) are all
+built from these two, and so are the maps between them, but for one: the
+structure cells of a lax composition, maps of homotopy pushouts that
+`laxmat._induced_cell` places itself after the tensor/cone interchange.
+A `Cone` builds its two structure maps only when they are read: `catcx
+cone` writes the complex alone, and `cof` only the map from the target.
 """
 
 from __future__ import annotations

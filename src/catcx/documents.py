@@ -37,10 +37,14 @@ nested chain complex) and `_parse_matrix` (a matrix of a pinned shape).
 
 A serializer returns the document's fields; values may be matrices and
 library objects with a document type, which are written as rows of
-rational strings and as nested documents.  serialize_document writes the
-JSON text itself, byte for byte as json.dumps(..., sort_keys=True) would
-(compact or with indent=2): sorted keys, fixed separators, one trailing
-newline.  A matrix goes straight from its int numerators to text, without
+rational strings and as nested documents.  A row with no serializer is a
+`Record` whose document is its fields: {slot: value} over its `__slots__`
+(the disk, flag and local-star models of perverse sheaves, and finite
+posets), so the record alone decides which fields its document has.
+serialize_document writes the JSON text itself, byte for byte as
+json.dumps(..., sort_keys=True) would (compact or with indent=2): sorted
+keys, fixed separators, one trailing newline; tuples are written as lists.
+A matrix goes straight from its int numerators to text, without
 a string object per entry.  parse_document(serialize_document(x))
 reproduces x, and serializing again reproduces the exact bytes.
 """
@@ -379,6 +383,7 @@ def _parse_matrix_document(d: dict, ctx: _Ctx, path: str) -> Matrix:
 _TYPES = (
     # (tag, module, class, parse, to_json, check): the codecs and the check
     # are functions here, or the names of functions in the type's own module;
+    # a type with no serializer (None) is a Record written as its fields, and
     # a type with no check (None) has no invariants past its shape
     ("chain_complex", "chain", "ChainComplex", _parse_chain_complex, _chain_complex_json,
      "validate_complex"),
@@ -395,16 +400,15 @@ _TYPES = (
      lambda K: K.algebra.validate()),
     ("koszul_complex", "koszul", "FreeKoszulComplex", "_parse_koszul", "_koszul_json",
      lambda K: K.algebra.validate()),
-    ("perv_disk", "perverse", "PervDisk", "_parse_perv_disk", "_perv_disk_json", "validate_disk"),
-    ("perv_flag", "perverse", "PervFlag", "_parse_perv_flag", "_perv_flag_json", "validate_flag"),
+    ("perv_disk", "perverse", "PervDisk", "_parse_perv_disk", None, "validate_disk"),
+    ("perv_flag", "perverse", "PervFlag", "_parse_perv_flag", None, "validate_flag"),
     ("perv_cube", "perverse", "PervCube", "_parse_perv_cube", "_perv_cube_json", "validate_cube"),
-    ("local_star", "perverse", "LocalStar", "_parse_local_star", "_local_star_json",
-     "validate_local_star"),
+    ("local_star", "perverse", "LocalStar", "_parse_local_star", None, "validate_local_star"),
     ("sheaf_encoding", "perverse", "SheafEncoding", "_parse_sheaf_encoding",
      "_sheaf_encoding_json", "verify_encoding"),
     ("simplicial_vs", "doldkan", "SimplicialVS", "_parse_simplicial", "_simplicial_json",
      "validate_simplicial"),
-    ("fin_poset", "laxmat", "FinPoset", "_parse_fin_poset", "_fin_poset_json", "validate_poset"),
+    ("fin_poset", "laxmat", "FinPoset", "_parse_fin_poset", None, "validate_poset"),
     ("int_matrix", "laxmat", "IntMatrix", "_parse_int_matrix", "_int_matrix_json", None),
     ("delta1_chain_matrix", "laxmat", "Delta1ChainMatrix", "_parse_delta1", "_delta1_json",
      "validate_delta1_matrix"),
@@ -523,7 +527,9 @@ def _document(obj) -> dict:
     row = _row_of(obj)
     if row is None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return {"type": row[0], **_codec(row[1], row[4])(obj)}
+    fields = (dict(zip(obj.__slots__, obj._fields())) if row[4] is None
+              else _codec(row[1], row[4])(obj))
+    return {"type": row[0], **fields}
 
 
 def _write_matrix(m: Matrix, out: list, nl: Optional[str]) -> None:

@@ -3,7 +3,8 @@
 normalize: quotient by the span of all degeneracy images, with the
 alternating-sum face differential pushed to the quotient.  The quotient is
 presented by a projection P_n (rows: a basis of the annihilator of the
-degenerate subspace) and a section R_n with P_n R_n = id.
+degenerate subspace), which is the identity on some of its columns; the
+section R_n picking those columns is read as a gather, not solved for.
 
 gamma: the classical inverse.  Gamma(C)_n is a direct sum of copies of
 C_k, one per monotone surjection eta: [n] ->> [k], ordered with the identity
@@ -120,30 +121,28 @@ def degenerate_inclusion(X: SimplicialVS, n: int) -> Matrix:
     return Matrix.block([[X.degeneracy(n - 1, j) for j in range(n)]])
 
 
-def quotient_presentation(X: SimplicialVS, n: int) -> Tuple[Matrix, Matrix]:
-    """(P, R) with ker P = degenerate subspace and P R = id."""
-    S = degenerate_inclusion(X, n)
-    ann = S.transpose().kernel_basis()
-    d = X.dims[n]
-    P = Matrix.block([[w.transpose()] for w in ann]) if ann else Matrix.zeros(0, d)
-    if P.rows == 0:
-        return P, Matrix.zeros(X.dims[n], 0)
-    R = P.solve(Matrix.identity(P.rows))
-    if R is None:
-        raise DimensionError("quotient presentation has no section")
-    return P, R
+def quotient_presentation(X: SimplicialVS, n: int) -> Tuple[Matrix, List[int]]:
+    """(P, free) with ker P = degenerate subspace and P the identity on its
+    columns free, so R with R e_j = e_(free[j]) is a section: P R = id."""
+    ann = degenerate_inclusion(X, n).transpose().kernel_basis()
+    P = Matrix.block([[w.transpose()] for w in ann]) if ann else Matrix.zeros(0, X.dims[n])
+    # kernel_basis puts 1 at a vector's own free column and 0 at the other
+    # free columns, after all of its pivot entries
+    return P, [max(j for j, x in enumerate(w._e) if x) for w in ann]
 
 
 def normalize(X: SimplicialVS) -> ChainComplex:
-    """X_n modulo degeneracies with the alternating face sum."""
+    """X_n modulo degeneracies with the alternating face sum d, as P d R: d
+    keeps degenerate vectors degenerate and P kills them, so every section R
+    gives the same P d R, and the one of `quotient_presentation` is a gather."""
     pres = [quotient_presentation(X, n) for n in range(X.n_max + 1)]
-    dims = tuple(pres[n][0].rows for n in range(X.n_max + 1))
+    dims = tuple(len(free) for _, free in pres)
     diffs = {}
     for n in range(1, X.n_max + 1):
         total = X.face(n, 0)
         for i in range(1, n + 1):
             total = total - X.face(n, i) if i % 2 else total + X.face(n, i)
-        diffs[n] = pres[n - 1][0] * total * pres[n][1]
+        diffs[n] = pres[n - 1][0] * total.permute(pres[n][1])
     return ChainComplex(0, X.n_max, dims, diffs)
 
 

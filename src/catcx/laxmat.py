@@ -13,7 +13,8 @@ pair of gluing complexes, carrying four structure chain maps
     cell_f0: G_tgt (x) E00 -> E10        cell_0f: E01 (x) G_src -> E00
     cell_f1: G_tgt (x) E01 -> E11        cell_1f: E11 (x) G_src -> E10
 
-and one exact commuting-square constraint tying them together.
+and one exact commuting-square constraint tying them together.  The table
+`_CELLS` states these shapes once, for the checks, the parser and the writer.
 Composition is an entrywise homotopy pushout over the twisted-arrow span
 
     N_u0 (x) M_0s  <--  N_u1 (x) G (x) M_0s  -->  N_u1 (x) M_1s,
@@ -388,13 +389,22 @@ class Delta1ChainMatrix(Record):
         return self.entries[(t, s)]
 
 
+# (name, entry E, g_tgt on the left, target entry) per structure cell: the source
+# is g_tgt (x) E or E (x) g_src, and the document names the cell name[5:].
+_CELLS = (("cell_f0", (0, 0), True, (1, 0)), ("cell_0f", (0, 1), False, (0, 0)),
+          ("cell_f1", (0, 1), True, (1, 1)), ("cell_1f", (1, 1), False, (1, 0)))
+
+
+def _cell_ends(g_src: ChainComplex, g_tgt: ChainComplex, entries: dict) -> list:
+    """(name, the factors of its source, its target) per structure cell."""
+    return [(name, (g_tgt, entries[e]) if left else (entries[e], g_src), entries[t])
+            for name, e, left, t in _CELLS]
+
+
 def _ends(D: Delta1ChainMatrix, memo: TensorMemo) -> list:
     """(name, cell, the source it must have, the target it must have)."""
-    e, g_tgt, g_src = D.entry, D.g_tgt, D.g_src
-    return [("cell_f0", D.cell_f0, memo.tensor(g_tgt, e(0, 0)), e(1, 0)),
-            ("cell_0f", D.cell_0f, memo.tensor(e(0, 1), g_src), e(0, 0)),
-            ("cell_f1", D.cell_f1, memo.tensor(g_tgt, e(0, 1)), e(1, 1)),
-            ("cell_1f", D.cell_1f, memo.tensor(e(1, 1), g_src), e(1, 0))]
+    return [(name, getattr(D, name), memo.tensor(*pair), tgt)
+            for name, pair, tgt in _cell_ends(D.g_src, D.g_tgt, D.entries)]
 
 
 def _square_commutes(D: Delta1ChainMatrix, memo: TensorMemo) -> bool:
@@ -658,36 +668,27 @@ def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
             entries[(t, s)] = _complex(ent_raw, key, ctx, f"{path}.entries")
     cells_raw = _field(d, "cells", path, _as_dict)
     # each cell's source, then the product the structure square is checked on
-    factors = {"f0": (g_tgt, entries[(0, 0)]), "0f": (entries[(0, 1)], g_src),
-               "f1": (g_tgt, entries[(0, 1)]), "1f": (entries[(1, 1)], g_src)}
-    for name, pair in factors.items():
-        check_dims(tensor_dims(*pair), ctx.cap, f"the source of cell {name}", f"{path}.cells")
+    ends = _cell_ends(g_src, g_tgt, entries)
+    for name, pair, _ in ends:
+        check_dims(tensor_dims(*pair), ctx.cap, f"the source of cell {name[5:]}", f"{path}.cells")
     check_dims(tensor_dims(g_tgt, entries[(0, 1)], g_src), ctx.cap,
                "the structure square's g_tgt (x) entry 0,1 (x) g_src", path)
     t = tensor if ctx.memo is None else ctx.memo.tensor
-    targets = {"f0": entries[(1, 0)], "0f": entries[(0, 0)],
-               "f1": entries[(1, 1)], "1f": entries[(1, 0)]}
     cells = {}
-    for name, pair in factors.items():
-        if name not in cells_raw:
-            raise DocumentError(f"missing cell {name!r}", f"{path}.cells")
-        src, tgt = t(*pair), targets[name]
-        cells[name] = _parse_map(ChainMap, cells_raw[name], src, tgt, ctx, f"{path}.cells.{name}")
-    return Delta1ChainMatrix(g_src, g_tgt, entries,
-                             cell_f0=cells["f0"], cell_0f=cells["0f"],
-                             cell_f1=cells["f1"], cell_1f=cells["1f"])
+    for name, pair, tgt in ends:
+        key = name[5:]
+        if key not in cells_raw:
+            raise DocumentError(f"missing cell {key!r}", f"{path}.cells")
+        cells[name] = _parse_map(ChainMap, cells_raw[key], t(*pair), tgt, ctx,
+                                 f"{path}.cells.{key}")
+    return Delta1ChainMatrix(g_src, g_tgt, entries, **cells)
 
 
 def _delta1_json(N) -> dict:
-    cells = {name: getattr(N, f"cell_{name}") for name in ("f0", "0f", "f1", "1f")}
     return {"g_src": N.g_src, "g_tgt": N.g_tgt,
             "entries": {f"{t},{s}": N.entry(t, s)
                         for t in (0, 1) for s in (0, 1)},
-            "cells": {name: _components_json(c) for name, c in cells.items()}}
-
-
-def _fin_poset_json(P) -> dict:
-    return {"labels": P.labels, "leq": P.leq}
+            "cells": {name[5:]: _components_json(getattr(N, name)) for name, *_ in _CELLS}}
 
 
 def _int_matrix_json(M) -> dict:

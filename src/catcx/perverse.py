@@ -239,26 +239,20 @@ def flag_embed_cube(P: PervFlag) -> PervCube:
     zero matrix.  The commutation squares through zero vertices hold
     precisely because d.d = delta.delta = 0.
     """
-    n = P.n
-    dims: Dict[Subset, int] = {}
-    for J in cube_subsets(n):
-        k = len(J)
-        dims[J] = P.dims[k] if J == frozenset(range(1, k + 1)) else 0
+    n, subsets = P.n, cube_subsets(P.n)
+    spine = {frozenset(range(1, k + 1)): k for k in range(n + 1)}
+    dims = {J: P.dims[spine[J]] if J in spine else 0 for J in subsets}
     f: Dict[int, Dict[Subset, Matrix]] = {i: {} for i in range(1, n + 1)}
     g: Dict[int, Dict[Subset, Matrix]] = {i: {} for i in range(1, n + 1)}
-    for J in cube_subsets(n):
+    for J in subsets:
         for i in range(1, n + 1):
             if i in J:
                 continue
-            src = dims[J | {i}]
-            tgt = dims[J]
-            spine = J == frozenset(range(1, len(J) + 1)) and i == len(J) + 1
-            if spine:
-                f[i][J] = P.delta[len(J)]
-                g[i][J] = P.d[len(J)]
+            if spine.get(J) == i - 1:  # J = {1..i-1}, so J + i is on the spine too
+                f[i][J], g[i][J] = P.delta[i - 1], P.d[i - 1]
             else:
-                f[i][J] = Matrix.zeros(tgt, src)
-                g[i][J] = Matrix.zeros(src, tgt)
+                src, tgt = dims[J | {i}], dims[J]
+                f[i][J], g[i][J] = Matrix.zeros(tgt, src), Matrix.zeros(src, tgt)
     return PervCube(n, dims, f, g)
 
 
@@ -536,15 +530,3 @@ def _sheaf_encoding_json(E) -> dict:
             "maps": [_components_json(m) for m in E.maps],
             "monodromies": [_components_json(m) for m in E.monodromies],
             "homotopies": [_components_json(h) for h in E.homotopies]}
-
-
-def _perv_disk_json(P) -> dict:
-    return {"f": P.f, "g": P.g}
-
-
-def _perv_flag_json(P) -> dict:
-    return {"dims": P.dims, "d": P.d, "delta": P.delta}
-
-
-def _local_star_json(S) -> dict:
-    return {"f": S.f, "g": S.g}

@@ -1,4 +1,5 @@
-"""Reference Gamma that factors every structure map in the simplex category.
+"""Reference Gamma that factors every structure map in the simplex category,
+and a reference normalize that solves for its section.
 
 This is `gamma` as `catcx.doldkan` had it before each face and degeneracy
 got its own rule: every map alpha, given as its value tuple, is applied to
@@ -7,6 +8,10 @@ surjection (`_epi_mono`).  The injection acts by the identity when it is
 one, by the differential of C when it is the front coface t -> t+1 (the one
 missing 0), and by zero otherwise.  It is kept only as the slow oracle of
 `test_gamma_rules.py`; nothing in the package imports it.
+
+`normalize` is the one `catcx.doldkan` had before it read the section off
+the projection's free columns: it solves P R = id for R and forms
+P d R with two products.  It is the oracle of `test_normalize_section.py`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from catcx.chain import ChainComplex
-from catcx.doldkan import SimplicialVS, _summands
+from catcx.doldkan import SimplicialVS, _summands, degenerate_inclusion
 from catcx.exactlin import DimensionError, Matrix
 
 
@@ -80,3 +85,30 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
             ops.append(structure_map(n, sigma))
         degeneracies[n] = tuple(ops)
     return SimplicialVS(N, tuple(dims), faces, degeneracies)
+
+
+def quotient_presentation(X: SimplicialVS, n: int) -> Tuple[Matrix, Matrix]:
+    """(P, R) with ker P = degenerate subspace and P R = id."""
+    S = degenerate_inclusion(X, n)
+    ann = S.transpose().kernel_basis()
+    d = X.dims[n]
+    P = Matrix.block([[w.transpose()] for w in ann]) if ann else Matrix.zeros(0, d)
+    if P.rows == 0:
+        return P, Matrix.zeros(X.dims[n], 0)
+    R = P.solve(Matrix.identity(P.rows))
+    if R is None:
+        raise DimensionError("quotient presentation has no section")
+    return P, R
+
+
+def normalize(X: SimplicialVS) -> ChainComplex:
+    """X_n modulo degeneracies with the alternating face sum."""
+    pres = [quotient_presentation(X, n) for n in range(X.n_max + 1)]
+    dims = tuple(pres[n][0].rows for n in range(X.n_max + 1))
+    diffs = {}
+    for n in range(1, X.n_max + 1):
+        total = X.face(n, 0)
+        for i in range(1, n + 1):
+            total = total - X.face(n, i) if i % 2 else total + X.face(n, i)
+        diffs[n] = pres[n - 1][0] * total * pres[n][1]
+    return ChainComplex(0, X.n_max, dims, diffs)

@@ -12,14 +12,23 @@ code already had; these read the package against the mathematics instead
   part of C_{k+1} satisfies d iota + iota d = -(from_target . f), so
   -iota is a homotopy from 0 to from_target . f, and +iota is one only
   where that map is zero.  This pins the sign of the cone.
+* Tensor: A (x) B is the total complex of the double complex A_i (x) B_j
+  with d_1 = d_A (x) 1 and d_2 = 1 (x) d_B (Weibel 2.7), built here with
+  `Matrix.kron` and totalized by `multicplx.totalize`, whose sign
+  (-1)^i on d_2 must be the sign `tensor` gives a (x) db.
+* Lax composition is associative up to quasi-isomorphism: the entries of
+  (N . M) . L and N . (M . L) have the same homology in every degree.
 """
 
 import random
+from fractions import Fraction
 
-from catcx.chain import (ChainHomotopy, ChainMap, check_homotopy, cone, hom_complex,
-                         hom_element, inclusion, zero_map)
+from catcx.chain import (ChainComplex, ChainHomotopy, ChainMap, check_homotopy, cone,
+                         hom_complex, hom_element, homology_dims, inclusion, tensor, zero_map)
 from catcx.exactlin import Matrix
-from helpers import int_matrix, random_chain_map, random_complex
+from catcx.laxmat import lax_compose_delta1
+from catcx.multicplx import MultiComplex, totalize
+from helpers import int_matrix, random_chain_map, random_complex, random_lax_matrix, small_complex
 from test_chain import twist
 
 
@@ -86,3 +95,48 @@ def test_the_cone_inclusion_of_the_source_is_a_null_homotopy():
         assert check_homotopy(zero, through, ChainHomotopy(A, C, iota)) == is_zero
         nonzero += not is_zero
     assert nonzero >= 100, nonzero
+
+
+def rational_complex(rng) -> ChainComplex:
+    """A seeded complex with p/q entries and often a zero-dimensional degree:
+    each differential of a random complex scaled by its own nonzero p/q."""
+    C, _ = random_complex(rng, max_len=3, max_dim=3, lo_range=(-2, 2))
+    scale = {k: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4)) for k in C.diffs}
+    return ChainComplex(C.lo, C.hi, C.dims, {k: m.scale(scale[k]) for k, m in C.diffs.items()})
+
+
+def double_complex(A: ChainComplex, B: ChainComplex) -> MultiComplex:
+    """A_i (x) B_j at (i, j), d_1 = d_A (x) 1 and d_2 = 1 (x) d_B, with no signs."""
+    one = Matrix.identity
+    return MultiComplex(2, (A.lo, B.lo), (A.hi, B.hi),
+                        {(i, j): A.dim(i) * B.dim(j) for i in A.degrees() for j in B.degrees()},
+                        {1: {(i, j): A.d(i).kron(one(B.dim(j)))
+                             for i in A.degrees() if i > A.lo for j in B.degrees()},
+                         2: {(i, j): one(A.dim(i)).kron(B.d(j))
+                             for i in A.degrees() for j in B.degrees() if j > B.lo}})
+
+
+def test_tensor_is_the_total_complex_of_the_double_complex():
+    rng = random.Random(2908)
+    signed = zero_degrees = 0
+    for _ in range(200):
+        A, B = rational_complex(rng), rational_complex(rng)
+        assert tensor(A, B) == totalize(double_complex(A, B))
+        signed += any(k % 2 for k, n in A.support) and bool(B.diffs)
+        zero_degrees += 0 in A.dims + B.dims
+    assert signed >= 60 and zero_degrees >= 60, (signed, zero_degrees)
+
+
+def test_lax_composition_is_associative_up_to_quasi_isomorphism():
+    rng = random.Random(2909)
+    nonzero = 0
+    for _ in range(150):
+        G = small_complex(rng, lo_range=(0, 1))
+        N, M, L = (random_lax_matrix(rng, g=G) for _ in range(3))
+        left = lax_compose_delta1(lax_compose_delta1(N, M), L)
+        right = lax_compose_delta1(N, lax_compose_delta1(M, L))
+        for key in left.entries:
+            h = {k: n for k, n in homology_dims(left.entries[key]).items() if n}
+            assert h == {k: n for k, n in homology_dims(right.entries[key]).items() if n}, key
+            nonzero += bool(h)
+    assert nonzero >= 150, nonzero
