@@ -51,14 +51,14 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _load(path: str, strict: bool, *tags: str, memo=None):
+def _load(path: str, strict: bool, *tags: str):
     """The document in `path`; with tags given, it must have one of them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}")
-    obj = parse_document(text, strict=strict, warn=_warn, memo=memo)
+    obj = parse_document(text, strict=strict, warn=_warn)
     if tags and tag_of(obj) not in tags:
         raise DocumentError(f"expected a {' or '.join(tags)} document, found {tag_of(obj)}")
     return obj
@@ -77,7 +77,7 @@ def _require_valid(obj, problems: List[str]) -> None:
         raise _Invalid(_report(obj, problems))
 
 
-def _valid(args, tag: str, *files: str, dims=None, check=problems_of, memo=None) -> list:
+def _valid(args, tag: str, *files: str, dims=None, check=problems_of) -> list:
     """The documents in args' `files`, each a valid `tag` document, as
     `check` (by default `problems_of`) finds it.
 
@@ -87,7 +87,7 @@ def _valid(args, tag: str, *files: str, dims=None, check=problems_of, memo=None)
     dimensions alone; a degree past CATCX_MAX_DIM also exits 2, before
     anything is built.
     """
-    objs = [_load(getattr(args, f), args.strict, tag, memo=memo) for f in files]
+    objs = [_load(getattr(args, f), args.strict, tag) for f in files]
     if dims is not None:
         check_dims(dims(*objs), dim_cap(), "the result")
     for obj in objs:
@@ -97,8 +97,8 @@ def _valid(args, tag: str, *files: str, dims=None, check=problems_of, memo=None)
 
 # -- subcommand handlers -------------------------------------------------------
 
-def cmd_validate(args):
-    obj = _load(args.file, args.strict)
+def cmd_validate(args, *tags: str):
+    obj = _load(args.file, args.strict, *tags)
     problems = problems_of(obj)
     extra = None
     if not problems and tag_of(obj) == "perv_disk":
@@ -193,12 +193,6 @@ def cmd_encode_sheaf(args):
     return 0, encode_sheaf(obj, dual=args.dual) if disk else encode_sheaf_flag(obj)
 
 
-def cmd_verify_encoding(args):
-    E = _load(args.file, args.strict, "sheaf_encoding")
-    problems = problems_of(E)
-    return (0 if not problems else 1), _report(E, problems)
-
-
 def cmd_dk_normalize(args):
     from .doldkan import normalize
     return 0, normalize(*_valid(args, "simplicial_vs", "file"))
@@ -233,9 +227,9 @@ def cmd_k0_compose(args):
 def cmd_lax_compose(args):
     from .chain import TensorMemo
     from .laxmat import lax_compose_delta1, lax_compose_dims, validate_delta1_matrix
-    memo = TensorMemo()  # parsing's and the checks' tensor products, reused by the composition
+    memo = TensorMemo()  # the checks' tensor products, reused by the composition
     N, M = _valid(args, "delta1_chain_matrix", "left", "right", dims=lax_compose_dims,
-                  check=lambda D: validate_delta1_matrix(D, memo), memo=memo)
+                  check=lambda D: validate_delta1_matrix(D, memo))
     return 0, lax_compose_delta1(N, M, memo)
 
 
@@ -281,7 +275,8 @@ _COMMANDS = (
     ("encode-sheaf", cmd_encode_sheaf,
      "stalk/monodromy/homotopy encoding of a disk or flag model", ("file",),
      (("--dual", {"action": "store_true", "help": "cosheaf-style encoding (disk only)"}),)),
-    ("verify-encoding", cmd_verify_encoding, "replay all encoding identities", ("file",), ()),
+    ("verify-encoding", lambda args: cmd_validate(args, "sheaf_encoding"),
+     "replay all encoding identities", ("file",), ()),
     ("dk-normalize", cmd_dk_normalize, "normalized chain complex of a simplicial object",
      ("file",), ()),
     ("dk-gamma", cmd_dk_gamma, "simplicial object built from a complex", ("file",),

@@ -15,8 +15,8 @@ The environment variable CATCX_MAX_DIM (default 512) caps every declared
 dimension and matrix side at parse time, and the largest degree of a
 Koszul input and its basis subsets, so a malicious or runaway input fails
 fast instead of allocating.  The tensor, hom-complex, totalize, cone, cof,
-fib and cc2 commands apply it to each degree of their result too, before
-building it.
+fib, cc2, dk-gamma and lax-compose commands apply it to each degree of
+their result too, before building it.
 
 Each document type is one row of the table `_TYPES`: (tag, module, class,
 parse, to_json, check), where check lists the invariants `catcx validate`
@@ -301,11 +301,10 @@ def _subset_keys(table, path: str, n: Optional[int] = None):
 
 
 class _Ctx(Record):
-    __slots__ = ("strict", "warn", "cap", "memo")
+    __slots__ = ("strict", "warn", "cap")
     strict: bool
     warn: Warn
     cap: int
-    memo: object  # a chain.TensorMemo for the tensor products parsers build, or None
 
 
 # -- per-type parsers ----------------------------------------------------------
@@ -457,10 +456,9 @@ def problems_of(obj) -> list:
     return _codec(row[1], row[5])(obj) if row[5] else []
 
 
-def parse_document(text: str, strict: bool = False, warn: Warn = None, memo=None):
-    """Parse one tagged JSON document into its library value; tensor
-    products a parser builds go into `memo` (a `chain.TensorMemo`) if given."""
-    ctx = _Ctx(strict, warn, dim_cap(), memo)
+def parse_document(text: str, strict: bool = False, warn: Warn = None):
+    """Parse one tagged JSON document into its library value."""
+    ctx = _Ctx(strict, warn, dim_cap())
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

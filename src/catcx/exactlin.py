@@ -12,14 +12,15 @@ run on those ints; a product takes a dot product per entry when its left
 factor is dense, else combines rows skipping zeros (the rule is in
 `Matrix.__mul__`).  `Matrix.from_blocks` is the one way to place blocks:
 it also writes Kronecker products with identities without forming them,
-and gathers columns by index data, which is how signed partial
-permutations (`Matrix.monomial`) are built and composed with
-(`Matrix.permute`).  There is one elimination, `_eliminate`: Bareiss on
-the numerators with deferred row scaling (a row zero in the pivot column
-is rescaled only when next used, exactly, as every Bareiss entry is a
-minor).  `rank` stops after the forward pass; `rref`, `kernel_basis`,
-`solve` and `invert` also clear above each pivot (every pivot ends equal
-to the same minor D, and the reduced form is the result divided by D).
+and gathers columns by index data, which is how a signed partial
+permutation is composed with (`Matrix.permute`); `Matrix.monomial`, which
+builds one, writes its own entries.  There is one elimination,
+`_eliminate`: Bareiss on the numerators with deferred row scaling (a row
+zero in the pivot column is rescaled only when next used, exactly, as
+every Bareiss entry is a minor).  `rank` stops after the forward pass;
+`rref`, `kernel_basis` and `solve` also clear above each pivot (every
+pivot ends equal to the same minor D, and the reduced form is the result
+divided by D).  `invert` is `solve` against the identity.
 `fractions.Fraction` stays at the API boundary: `m[i, j]`, `row` and
 `entries` return Fractions, and the constructor accepts ints, 'p/q'
 strings and Fractions.  It is imported on first use (with `decimal` and
@@ -550,12 +551,7 @@ class Matrix:
         """
         if self.rows != self.cols:
             raise DimensionError("inverse of a non-square matrix")
-        n = self.rows
-        a, pivots, D = self._reduced(Matrix.identity(n))
-        if pivots != list(range(n)):
-            return None
-        # (N / d)^-1 = d * N^-1, and the right half is D * N^-1
-        return Matrix._of(n, n, [x * self._d for row in a for x in row[n:]], D)
+        return self.solve(Matrix.identity(self.rows))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

@@ -356,7 +356,7 @@ def duality_iso(K: FreeKoszulComplex) -> KoszulDuality:
     return KoszulDuality(K, target, maps)
 
 
-# -- helpers used by tests and the CLI ----------------------------------------
+# -- example algebras and their elements, for the tests -----------------------
 
 def monomial_algebra(num_vars: int, max_degrees: Sequence[int]) -> Tuple[FDAlgebra, List[Tuple[int, ...]]]:
     """Q[x_1..x_q] / (x_i^{m_i}) as an FDAlgebra.

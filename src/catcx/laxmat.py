@@ -673,13 +673,12 @@ def _parse_delta1(d: dict, ctx: _Ctx, path: str) -> Delta1ChainMatrix:
         check_dims(tensor_dims(*pair), ctx.cap, f"the source of cell {name[5:]}", f"{path}.cells")
     check_dims(tensor_dims(g_tgt, entries[(0, 1)], g_src), ctx.cap,
                "the structure square's g_tgt (x) entry 0,1 (x) g_src", path)
-    t = tensor if ctx.memo is None else ctx.memo.tensor
     cells = {}
     for name, pair, tgt in ends:
         key = name[5:]
         if key not in cells_raw:
             raise DocumentError(f"missing cell {key!r}", f"{path}.cells")
-        cells[name] = _parse_map(ChainMap, cells_raw[key], t(*pair), tgt, ctx,
+        cells[name] = _parse_map(ChainMap, cells_raw[key], tensor(*pair), tgt, ctx,
                                  f"{path}.cells.{key}")
     return Delta1ChainMatrix(g_src, g_tgt, entries, **cells)
 

@@ -18,15 +18,24 @@ code already had; these read the package against the mathematics instead
   (-1)^i on d_2 must be the sign `tensor` gives a (x) db.
 * Lax composition is associative up to quasi-isomorphism: the entries of
   (N . M) . L and N . (M . L) have the same homology in every degree.
+* The long exact sequence of f: A -> B (Weibel 1.5.2) splits into
+  dim H_k(cone f) = (h_k(B) - r_k) + (h_{k-1}(A) - r_{k-1}), where r_k is
+  the rank of H_k(f), computed here from cycles and boundaries alone; and
+  fib f = (cone f)[-1].  For a span B <-p- A -q-> C, Mayer-Vietoris is the
+  same sequence for (p, -q): A -> B (+) C, whose cone is `hpushout`.
 """
 
+import json
 import random
 from fractions import Fraction
 
 from catcx.chain import (ChainComplex, ChainHomotopy, ChainMap, check_homotopy, cone,
-                         hom_complex, hom_element, homology_dims, inclusion, tensor, zero_map)
+                         hom_complex, hom_element, homology_dims, inclusion, tensor,
+                         validate_complex, zero_map)
+from catcx.cli import run
+from catcx.documents import serialize_document
 from catcx.exactlin import Matrix
-from catcx.laxmat import lax_compose_delta1
+from catcx.laxmat import Span, fib, hpushout, lax_compose_delta1
 from catcx.multicplx import MultiComplex, totalize
 from helpers import int_matrix, random_chain_map, random_complex, random_lax_matrix, small_complex
 from test_chain import twist
@@ -140,3 +149,88 @@ def test_lax_composition_is_associative_up_to_quasi_isomorphism():
             assert h == {k: n for k, n in homology_dims(right.entries[key]).items() if n}, key
             nonzero += bool(h)
     assert nonzero >= 150, nonzero
+
+
+def rational_map(rng, A: ChainComplex, B: ChainComplex) -> ChainMap:
+    """A seeded chain map A -> B scaled by a nonzero p/q."""
+    c = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+    return ChainMap(A, B, {k: m.scale(c) for k, m in random_chain_map(rng, A, B).comps.items()})
+
+
+def cycles(C: ChainComplex, k: int) -> Matrix:
+    """A basis of Z_k(C), as the columns of one matrix."""
+    basis = C.d(k).kernel_basis()
+    return Matrix.block([basis]) if basis else Matrix.zeros(C.dim(k), 0)
+
+
+def homology_rank(image_of_cycles: Matrix, boundaries: Matrix) -> int:
+    """The rank of a map on H_k: the span of the images of the source's
+    cycles, modulo the target's boundaries."""
+    return image_of_cycles.hstack(boundaries).rank() - boundaries.rank()
+
+
+def induced_ranks(f: ChainMap, degrees: range) -> dict:
+    """r_k = rank H_k(f) for each k in degrees."""
+    A, B = f.source, f.target
+    return {k: homology_rank(f.f(k) * cycles(A, k), B.d(k + 1)) for k in degrees}
+
+
+def h(C: ChainComplex, k: int) -> int:
+    return homology_dims(C).get(k, 0)
+
+
+def window(*Cs: ChainComplex) -> range:
+    """Every degree where a complex of Cs or a cone of them can be nonzero."""
+    return range(min(C.lo for C in Cs) - 1, max(C.hi for C in Cs) + 3)
+
+
+def test_the_cone_and_the_fiber_split_the_long_exact_sequence():
+    rng = random.Random(3001)
+    induced = 0
+    for _ in range(300):
+        A, B = rational_complex(rng), rational_complex(rng)
+        f = rational_map(rng, A, B)
+        r = induced_ranks(f, window(A, B))
+        C, F = cone(f).complex, fib(f)[0]
+        assert validate_complex(C) == validate_complex(F) == []
+        for k in window(A, B)[1:-1]:
+            assert h(C, k) == h(B, k) - r[k] + h(A, k - 1) - r[k - 1], k
+            assert h(F, k) == h(A, k) - r[k] + h(B, k + 1) - r[k + 1], k
+        induced += any(r.values())
+    assert induced >= 75, induced
+
+
+def test_the_homotopy_pushout_satisfies_mayer_vietoris():
+    rng = random.Random(3002)
+    induced = 0
+    for _ in range(250):
+        A, B, C = rational_complex(rng), rational_complex(rng), rational_complex(rng)
+        p, q = rational_map(rng, A, B), rational_map(rng, A, C)
+        P = hpushout(Span(p, q)).cx
+        assert validate_complex(P) == []
+        r = {}
+        for k in window(A, B, C):
+            Z = cycles(A, k)
+            pq = Matrix.block([[p.f(k) * Z], [-(q.f(k) * Z)]])
+            bounds = Matrix.block([[B.d(k + 1), Matrix.zeros(B.dim(k), C.dim(k + 1))],
+                                   [Matrix.zeros(C.dim(k), B.dim(k + 1)), C.d(k + 1)]])
+            r[k] = homology_rank(pq, bounds)
+        for k in window(A, B, C)[1:-1]:
+            assert h(P, k) == h(B, k) + h(C, k) - r[k] + h(A, k - 1) - r[k - 1], k
+        induced += any(r.values())
+    assert induced >= 75, induced
+
+
+def test_catcx_cone_then_homology_splits_the_long_exact_sequence(tmp_path, capsys):
+    rng = random.Random(3003)
+    f_doc, cone_doc = tmp_path / "f.json", tmp_path / "cone.json"
+    for _ in range(12):
+        A, B = rational_complex(rng), rational_complex(rng)
+        f = rational_map(rng, A, B)
+        f_doc.write_text(serialize_document(f))
+        assert run(["cone", str(f_doc), "--output", str(cone_doc)]) == 0
+        assert run(["homology", str(cone_doc)]) == 0
+        dims = {int(k): v for k, v in json.loads(capsys.readouterr().out)["dims"].items()}
+        r = induced_ranks(f, window(A, B))
+        for k in window(A, B)[1:-1]:
+            assert dims.get(k, 0) == h(B, k) - r[k] + h(A, k - 1) - r[k - 1], k

@@ -1,18 +1,16 @@
-"""Parsing a `lax-compose` call's documents builds the cells' source tensor
-products in the call's tensor memo, so checking the documents finds them
-instead of building them again.
+"""Parsing a Delta^1 chain matrix builds each cell's source tensor product
+once, with plain `chain.tensor`: the parser keeps no tensor memo.  The
+sharing of tensor products between a `lax-compose` call's checks and its
+composition is pinned by `tests/test_lax_cli_tensors.py`.
 
-Counted on the golden `lax_left` / `lax_right` call, with `chain.tensor`
-wrapped under every name it is bound to; the call's stdout stays the
-golden bytes.
+Counted on the golden `lax_left` document, with `chain.tensor` wrapped
+under every name it is bound to.
 """
 
 from pathlib import Path
 
 import catcx.chain
 import catcx.laxmat
-from catcx.chain import TensorMemo
-from catcx.cli import run
 from catcx.documents import parse_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -31,24 +29,13 @@ def counted_tensor(monkeypatch):
     return calls
 
 
-def test_lax_compose_call_builds_at_most_27_tensors(monkeypatch, capsysbinary):
-    calls = counted_tensor(monkeypatch)
-    code = run(["lax-compose", str(GOLDEN / "inputs" / "lax_left.json"),
-                str(GOLDEN / "inputs" / "lax_right.json")])
-    assert code == 0
-    assert capsysbinary.readouterr().out == (GOLDEN / "expected" / "lax_compose.out").read_bytes()
-    # 8 parsing the cells' sources, 2 more checking the documents, the rest composing
-    assert 0 < len(calls) <= 27
-
-
-def test_parsed_cell_sources_are_the_memos_tensors(monkeypatch):
+def test_parsing_builds_each_cell_source_once(monkeypatch):
     text = (GOLDEN / "inputs" / "lax_left.json").read_text()
-    memo = TensorMemo()
-    D = parse_document(text, memo=memo)
-    assert D.cell_f0.source is memo.tensor(D.g_tgt, D.entry(0, 0))
-    assert D.cell_0f.source is memo.tensor(D.entry(0, 1), D.g_src)
-    assert D.cell_f1.source is memo.tensor(D.g_tgt, D.entry(0, 1))
-    assert D.cell_1f.source is memo.tensor(D.entry(1, 1), D.g_src)
     calls = counted_tensor(monkeypatch)
-    assert parse_document(text) == D    # without a memo, the same document
+    D = parse_document(text)
     assert len(calls) == 4
+    tensor = catcx.chain.tensor
+    assert D.cell_f0.source == tensor(D.g_tgt, D.entry(0, 0))
+    assert D.cell_0f.source == tensor(D.entry(0, 1), D.g_src)
+    assert D.cell_f1.source == tensor(D.g_tgt, D.entry(0, 1))
+    assert D.cell_1f.source == tensor(D.entry(1, 1), D.g_src)
