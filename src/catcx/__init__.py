@@ -24,9 +24,9 @@ _EXPORTS = {
     "exactlin": ("DimensionError", "Matrix", "Rational", "rat", "rat_str"),
     "chain": ("ChainComplex", "ChainHomotopy", "ChainMap", "Cone", "check_homotopy",
               "cone", "direct_sum", "euler_characteristic", "hom_complex",
-              "homology_dims", "identity_map", "is_acyclic", "is_quasi_iso", "shift",
-              "shift_map", "single", "tensor", "tensor_map", "two_term", "unit_complex",
-              "validate_complex", "zero_complex", "zero_map"),
+              "hom_element", "homology_dims", "identity_map", "is_acyclic", "is_quasi_iso",
+              "shift", "shift_map", "single", "tensor", "tensor_map", "two_term",
+              "unit_complex", "validate_complex", "zero_complex", "zero_map"),
     "multicplx": ("ChainCube", "MultiComplex", "complex_to_cube",
                   "cube_from_multicomplex", "cube_total_cofiber", "permute_axes",
                   "totalize", "unfold_cube", "validate_chain_cube",
@@ -42,9 +42,8 @@ _EXPORTS = {
     "laxmat": ("Delta1ChainMatrix", "FinPoset", "IntMatrix", "Pushout", "Span",
                "assoc", "assoc_inv", "cof_action", "compose_entry_span", "fib",
                "fib_action", "hpushout", "k0_compose", "k0_shadow",
-               "lax_compose_delta1", "mobius", "tensor_cone_left",
-               "tensor_cone_right", "unit_matrix", "validate_delta1_matrix",
-               "validate_poset", "zeta"),
+               "lax_compose_delta1", "mobius", "tensor_cone", "unit_matrix",
+               "validate_delta1_matrix", "validate_poset", "zeta"),
     "simplex": ("CC2Level1", "CatCochain2Level", "TotalizationError", "cc2", "cc2_d1",
                 "cc2_d2", "linear_cochain", "octahedron_witness"),
     "doldkan": ("SimplicialVS", "gamma", "normalize", "surjections",

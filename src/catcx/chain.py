@@ -431,13 +431,6 @@ def direct_sum(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     return sum_cone([(zero_map(Z, A), 1), (zero_map(Z, B), 1)])
 
 
-def sum_inclusions(A: ChainComplex, B: ChainComplex) -> Tuple[ChainMap, ChainMap]:
-    S = direct_sum(A, B)
-    ia = {k: inclusion(S.dim(k), 0, A.dim(k)) for k in A.degrees()}
-    ib = {k: inclusion(S.dim(k), A.dim(k), B.dim(k)) for k in B.degrees()}
-    return ChainMap(A, S, ia), ChainMap(B, S, ib)
-
-
 def inclusion(n: int, at: int, size: int) -> Matrix:
     """n x size partial identity: column j is the basis vector e_{at + j}."""
     return Matrix.monomial(n, range(at, at + size))
@@ -642,14 +635,3 @@ def hom_element(A: ChainComplex, B: ChainComplex, n: int,
         blocks.append((pos, 0, Matrix._of(m.rows * m.cols, 1, m._e, m._d)))
     return Matrix.from_blocks(dim.get(n, 0), 1, blocks)
 
-
-def hom_element_components(A: ChainComplex, B: ChainComplex, n: int,
-                           v: Matrix) -> Dict[int, Matrix]:
-    """Inverse of hom_element: unflatten a coordinate column, one block per nonzero summand."""
-    off = block_table(B.support, tuple((-i, a) for i, a in reversed(A.support)))[1]
-    out = {}
-    for (j, k), pos in off.items():
-        if j + k == n:  # the summand of Hom(A_{-k}, B_j)
-            rows, cols = B.dim(j), A.dim(-k)
-            out[-k] = Matrix._of(rows, cols, v._e[pos:pos + rows * cols], v._d)
-    return out

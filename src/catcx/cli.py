@@ -2,8 +2,9 @@
 
 Exit codes are a contract: 0 success (and, for checks, "valid"); 1 a
 validation failure (the input parsed but an invariant does not hold);
-2 malformed input (unreadable file, bad JSON, unknown tag, wrong document
-type for the subcommand, shape mismatch, oversized dimensions, bad usage).
+2 malformed input (unreadable or non-UTF-8 file, bad JSON, unknown tag,
+wrong document type for the subcommand, shape mismatch, oversized
+dimensions, bad usage) or a result that cannot be written.
 
 Validation failures still print a report document to stdout, so scripts
 can distinguish "invalid" from "could not read".  Warnings (for example
@@ -54,10 +55,12 @@ def _warn(msg: str) -> None:
 def _load(path: str, strict: bool, *tags: str):
     """The document in `path`; with tags given, it must have one of them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise DocumentError(f"invalid UTF-8 at byte {e.start}")
     obj = parse_document(text, strict=strict, warn=_warn)
     if tags and tag_of(obj) not in tags:
         raise DocumentError(f"expected a {' or '.join(tags)} document, found {tag_of(obj)}")
@@ -331,6 +334,8 @@ def _emit(doc, args) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    elif sys.stdout is None:
+        raise OSError("stdout is closed")
     else:
         sys.stdout.write(text)
 
@@ -345,16 +350,12 @@ def run(argv: Optional[List[str]] = None) -> int:
         code = e.code
         return code if isinstance(code, int) else 2
     try:
-        code, doc = args.handler(args)
+        try:
+            code, doc = args.handler(args)
+        except _Invalid as e:
+            code, doc = 1, e.report
         _emit(doc, args)
         return code
-    except _Invalid as e:
-        try:
-            _emit(e.report, args)
-        except OSError as io_err:
-            print(f"error: {io_err}", file=sys.stderr)
-            return 2
-        return 1
     except (DocumentError, DimensionError, OSError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2

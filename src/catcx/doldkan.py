@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
@@ -160,14 +160,11 @@ def surjections(n: int, k: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def gamma_summands(n: int) -> List[Tuple[int, Tuple[int, ...]]]:
-    """(k, surjection) pairs indexing Gamma(C)_n, identity first."""
-    return _summands(n, n)
-
-
-def _summands(n: int, top: int) -> List[Tuple[int, Tuple[int, ...]]]:
-    """The pairs of `gamma_summands(n)` with k <= top."""
-    return [(k, eta) for k in range(min(n, top), -1, -1) for eta in surjections(n, k)]
+def gamma_summands(n: int, top: Optional[int] = None) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(k, surjection) pairs indexing Gamma(C)_n, identity first; with `top`
+    given, only those with k <= top."""
+    top = n if top is None else min(n, top)
+    return [(k, eta) for k in range(top, -1, -1) for eta in surjections(n, k)]
 
 
 def gamma_dims(C: ChainComplex, n: int) -> Dict[int, int]:
@@ -184,7 +181,7 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
     if N < 0:
         raise DimensionError("truncation level must be nonnegative")
     # a summand over k > C.hi is zero: listing them would cost 2^n at level n
-    summands = {n: _summands(n, C.hi) for n in range(N + 1)}
+    summands = {n: gamma_summands(n, C.hi) for n in range(N + 1)}
     # a surjection's length is its level + 1, so one key names one summand
     dim, off = layout([(eta, n, C.dim(k)) for n in range(N + 1) for k, eta in summands[n]])
     dims = tuple(dim.get(n, 0) for n in range(N + 1))

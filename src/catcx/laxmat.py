@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlin import DimensionError, Matrix
 from .record import Record
-from .chain import (ChainComplex, ChainMap, TensorMemo, cone, cone_map,
+from .chain import (ChainComplex, ChainMap, TensorMemo, cone,
                     euler_characteristic, inclusion, shift_map, sum_cone,
                     tensor, tensor_dims, tensor_map, tensor_map_blocks, tensor_map_comps,
                     unit_complex, validate_complex, zero_complex)
@@ -230,16 +230,6 @@ def hpushout(span: Span) -> Pushout:
     return Pushout(span, P, ChainMap(B, P, fl), ChainMap(C, P, fr))
 
 
-def induced_pushout_map(src: Pushout, tgt: Pushout, on_apex: ChainMap,
-                        on_left: ChainMap, on_right: ChainMap) -> ChainMap:
-    """Map of pushouts from a strictly commuting map of spans."""
-    if on_left.compose(src.span.left) != tgt.span.left.compose(on_apex):
-        raise DimensionError("span map: left square does not commute")
-    if on_right.compose(src.span.right) != tgt.span.right.compose(on_apex):
-        raise DimensionError("span map: right square does not commute")
-    return cone_map(src.cx, tgt.cx, (on_apex, on_left, on_right))
-
-
 # -- associator and tensor/cone interchange -----------------------------------
 
 IndexMap = Dict[int, Tuple[List[int], Optional[List[int]]]]  # see the module docstring
@@ -357,14 +347,6 @@ def tensor_cone(push: Pushout, K: ChainComplex, side: str) -> Tuple[Pushout, Cha
     S, perm = _interchange((span.apex, span.left.target, span.right.target), push.cx, K,
                            side, memo)
     return tpush, _dense(S, tpush.cx, perm)
-
-
-def tensor_cone_left(K: ChainComplex, push: Pushout) -> Tuple[Pushout, ChainMap]:
-    return tensor_cone(push, K, "left")
-
-
-def tensor_cone_right(push: Pushout, K: ChainComplex) -> Tuple[Pushout, ChainMap]:
-    return tensor_cone(push, K, "right")
 
 
 # -- Delta^1 chain matrices ----------------------------------------------------

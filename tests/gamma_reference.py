@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from catcx.chain import ChainComplex
-from catcx.doldkan import SimplicialVS, _summands, degenerate_inclusion
+from catcx.doldkan import SimplicialVS, degenerate_inclusion, gamma_summands
 from catcx.exactlin import DimensionError, Matrix
 
 
@@ -37,7 +37,7 @@ def gamma(C: ChainComplex, N: int) -> SimplicialVS:
         raise DimensionError("gamma needs support in degrees >= 0")
     if N < 0:
         raise DimensionError("truncation level must be nonnegative")
-    summands = {n: _summands(n, C.hi) for n in range(N + 1)}
+    summands = {n: gamma_summands(n, C.hi) for n in range(N + 1)}
     offsets = {}
     dims = []
     for n in range(N + 1):

@@ -6,9 +6,10 @@ and the signed f_{i-1} . d_A blocks summand by summand, with offsets from
 `hom_offsets`, which walks the window of Map(A,B)_n and gives every
 summand a start, empty ones too.  `hom_element` and
 `hom_element_components` are the coordinates as they were read from
-`hom_offsets` before `chain.layout` placed them.  They are kept only as the
-slow oracles of `test_hom_as_tensor.py` and `test_one_layout.py`; nothing
-in the package imports them.
+`hom_offsets` before `chain.layout` placed them.  They are the slow
+oracles of `test_hom_as_tensor.py` and `test_one_layout.py`, and the only
+`hom_element_components`, which other tests read coordinates with;
+nothing in the package imports them.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ projections of cones, sums, pushouts and fibers became index maps, and
 before a lax composition built each tensor product once.  Every structural
 map here is placed with `Matrix.from_blocks` around `Matrix.identity`, or
 written entry by entry into a dense matrix, and every composite is a dense
-product.  The module is kept only as the slow oracle for the differential
-tests in `test_lax_index_maps.py`; nothing in the package imports it.
+product.  The module is the slow oracle for the differential tests in
+`test_lax_index_maps.py`, and the only `sum_inclusions` and
+`induced_pushout_map`, which other tests use; nothing in the package
+imports it.
 """
 
 from __future__ import annotations

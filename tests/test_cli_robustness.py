@@ -85,3 +85,30 @@ def test_python_dash_m(tmp_path):
     proc = catcx_m("validate", str(tmp_path / "missing.json"))
     assert proc.returncode == 2
     assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("prefix", [b"", b'{"type":"chain_complex","x":"\xc3\xa9"' + b" " * 10000],
+                         ids=["first", "past_10000"])
+def test_invalid_utf8_exits_2_at_its_byte_offset(tmp_path, capsys, prefix):
+    f = tmp_path / "doc.json"
+    f.write_bytes(prefix + b"\xff}")
+    code = run(["homology", str(f)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    # the offset counts bytes, the two of the e-acute included
+    assert err == f"error: $: invalid UTF-8 at byte {len(prefix)}\n"
+
+
+@pytest.mark.parametrize("command, text, open_code", [
+    ("homology", _complex_with_entry("1"), 0),
+    ("validate", '{"type":"chain_complex","lo":0,"hi":2,"dims":[1,1,1],'
+                 '"differentials":{"1":[["1"]],"2":[["1"]]}}', 1),
+], ids=["exit_0", "exit_1"])
+def test_closed_stdout_exits_2(tmp_path, capsys, monkeypatch, command, text, open_code):
+    code, out, _ = _run_file(tmp_path, capsys, text, command)
+    assert code == open_code and out
+    monkeypatch.setattr(sys, "stdout", None)  # what `catcx ... >&-` starts with
+    code = run([command, str(tmp_path / "doc.json")])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: stdout is closed\n")

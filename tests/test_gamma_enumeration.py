@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from catcx.doldkan import _summands, gamma_summands
+from catcx.doldkan import gamma_summands
 from test_derived_dims import run_capped
 
 DOC = '{"type":"chain_complex","lo":0,"hi":1,"dims":[1,1],"differentials":{"1":[["1"]]}}'
@@ -44,4 +44,4 @@ def test_the_summands_are_the_full_list_cut_at_top():
         full = gamma_summands(n)
         assert len(full) == 2 ** n
         for top in range(n + 2):
-            assert _summands(n, top) == [(k, eta) for k, eta in full if k <= top]
+            assert gamma_summands(n, top) == [(k, eta) for k, eta in full if k <= top]

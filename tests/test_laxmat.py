@@ -26,11 +26,9 @@ from catcx.laxmat import (
     k0_compose,
     Span,
     hpushout,
-    induced_pushout_map,
     assoc,
     assoc_inv,
-    tensor_cone_left,
-    tensor_cone_right,
+    tensor_cone,
     Delta1ChainMatrix,
     validate_delta1_matrix,
     unit_matrix,
@@ -48,6 +46,7 @@ from helpers import (
     random_poset,
     small_complex,
 )
+from lax_reference import induced_pushout_map
 
 
 def ident_int(labels):
@@ -196,7 +195,7 @@ def test_tensor_cone_interchange_isos():
     for _ in range(12):
         k = small_complex(rng)
         push = hpushout(random_span(rng))
-        tpush, omega = tensor_cone_left(k, push)
+        tpush, omega = tensor_cone(push, k, "left")
         assert omega.source == tensor(k, push.cx)
         assert omega.target == tpush.cx
         assert omega.validate() == []
@@ -206,7 +205,7 @@ def test_tensor_cone_interchange_isos():
         lifted = tensor_map(identity_map(k), push.from_left)
         assert omega.compose(lifted) == tpush.from_left
 
-        tpush2, omega2 = tensor_cone_right(push, k)
+        tpush2, omega2 = tensor_cone(push, k, "right")
         assert omega2.source == tensor(push.cx, k)
         assert omega2.target == tpush2.cx
         assert omega2.validate() == []

@@ -19,10 +19,10 @@ from pathlib import Path
 import pytest
 
 import lax_reference as ref
+from hom_reference import hom_element_components
 from catcx.chain import (ChainComplex, ChainHomotopy, ChainMap, cone, cone_complex,
                          direct_sum, hom_complex, hom_dims, hom_element,
-                         hom_element_components, identity_map, shift, sum_cone, tensor,
-                         tensor_map, zero_map)
+                         identity_map, shift, sum_cone, tensor, tensor_map, zero_map)
 from catcx.cli import run
 from catcx.exactlin import Matrix
 from catcx.laxmat import Span, assoc, assoc_inv, hpushout, lax_compose_delta1, unit_matrix

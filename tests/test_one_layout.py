@@ -11,8 +11,7 @@ degrees and multidegrees, one-degree windows and windows far apart, both
 sides must give equal results that store the same keys and write the same
 bytes, compact and indented.
 
-Two narrowings are pinned: `hom_element_components` returns a block only
-for a nonzero summand, and `hom_element` ignores a component at an empty
+One narrowing is pinned: `hom_element` ignores a component at an empty
 summand, of any shape, as it ignores one outside the window.
 """
 
@@ -23,8 +22,8 @@ import random
 import pytest
 
 from catcx import chain
-from catcx.chain import (ChainComplex, block_table, hom_complex, hom_element,
-                         hom_element_components, tensor, tensor_dims)
+from catcx.chain import (ChainComplex, block_table, hom_complex, hom_element, tensor,
+                         tensor_dims)
 from catcx.documents import serialize_document
 from catcx.doldkan import gamma
 from catcx.exactlin import DimensionError, Matrix
@@ -145,12 +144,9 @@ def test_hom_coordinates_are_the_offset_walks(pairs):
         assert same_matrix(v, want)
         assert serialize_document(v) == serialize_document(want)
         assert v.rows == hom_complex(A, B).dim(n)
-        back = hom_element_components(A, B, n, v)
         full = hom_reference.hom_element_components(A, B, n, v)
-        # a block only for a nonzero summand, by i ascending
         kept = {i: m for i, m in full.items() if m.rows and m.cols}
-        assert list(back) == list(kept)
-        assert all(same_matrix(back[i], m) and same_matrix(m, comps[i]) for i, m in kept.items())
+        assert all(same_matrix(m, comps[i]) for i, m in kept.items())
         seen["empty summand"] += len(kept) < len(full)
         tally(seen, A, B)
     assert all(n >= 100 for n in seen.values()), seen
